@@ -33,6 +33,10 @@ let report_check = ref false
    comparison (see bench_report). *)
 let report_fleet = ref None
 
+(* `report --sim=FILE`: gate BENCH_sim.json against --baseline (see
+   bench_report). *)
+let report_sim = ref None
+
 (* Pool/cache activity footer for the synthesis-time figures. *)
 let runtime_stats () =
   let v = Counters.value in
@@ -701,6 +705,126 @@ let bench_milp () =
   close_out oc;
   Printf.printf "   wrote BENCH_milp.json\n%!"
 
+(* --- Simulator gate: makespans and work counts on fixed schedules ------- *)
+
+(* Simulate a fixed set of schedules at 2 and 8 blocks: NCCL baselines on
+   the paper's topologies (16 MiB AllGather/ReduceScatter/AlltoAll on
+   a100-16/32 and h800-64) and seeded random schedule sets from the fuzz
+   generators.  Each run is checked bit for bit against the reference
+   simulator (Sim_ref) in-process; the rows — per-phase makespans as hex
+   floats, events, heap pops, and both simulators' wall time — go to
+   BENCH_sim.json for `report --check --sim=BENCH_sim.json`, which gates
+   on the machine-independent columns only. *)
+let bench_sim () =
+  let module Json = Syccl_util.Json in
+  let module Gen = Syccl_check.Gen in
+  let module Sim_ref = Syccl_check.Sim_ref in
+  let module X = Syccl_util.Xrand in
+  Printf.printf "\n== bench sim: simulator makespans and work counts ==\n";
+  let named =
+    List.concat_map
+      (fun (tname, topo) ->
+        List.map
+          (fun kind ->
+            let coll = C.make kind ~n:(T.num_gpus topo) ~size:1.6777216e7 in
+            ( Printf.sprintf "%s/%s/nccl" tname (C.kind_name kind),
+              topo,
+              Nccl.schedule topo coll ))
+          [ C.AllGather; C.ReduceScatter; C.AllToAll ])
+      [
+        ("a100-16", Builders.a100 ~servers:2);
+        ("a100-32", Builders.a100 ~servers:4);
+        ("h800-64", Builders.h800 ~servers:8);
+      ]
+  in
+  let seeded =
+    List.init (if !full then 256 else 32) (fun i ->
+        let rng = X.create (7000 + i) in
+        let topo = Gen.topology rng in
+        let coll = Gen.collective rng ~n:(T.num_gpus topo) in
+        (Printf.sprintf "gen/%d" i, topo, Gen.schedules rng topo coll))
+  in
+  let wall f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let bits = Int64.bits_of_float in
+  Printf.printf "%-28s %6s | %9s %9s %6s | %8s %8s\n" "case" "blocks" "events"
+    "pops" "pops/ev" "sim_ms" "ref_ms";
+  let rows, sim_total, ref_total =
+    List.fold_left
+      (fun (rows, st, rt) (name, topo, schedules) ->
+        List.fold_left
+          (fun (rows, st, rt) blocks ->
+            let p0 = Counters.value "sim.pops" in
+            let got, sim_s =
+              wall (fun () -> List.map (fun s -> Sim.run ~blocks topo s) schedules)
+            in
+            let pops = Counters.value "sim.pops" -. p0 in
+            let want, ref_s =
+              wall (fun () -> List.map (fun s -> Sim_ref.run ~blocks topo s) schedules)
+            in
+            List.iter2
+              (fun (a : Sim.report) (b : Sim.report) ->
+                if
+                  bits a.Sim.time <> bits b.Sim.time
+                  || a.Sim.events <> b.Sim.events
+                  || Array.map bits a.Sim.xfer_finish
+                     <> Array.map bits b.Sim.xfer_finish
+                then
+                  failwith
+                    (Printf.sprintf
+                       "bench sim: %s at %d blocks differs from the reference \
+                        simulator (%h vs %h)"
+                       name blocks a.Sim.time b.Sim.time))
+              got want;
+            let events = List.fold_left (fun a (r : Sim.report) -> a + r.Sim.events) 0 got in
+            Printf.printf "%-28s %6d | %9d %9.0f %6.2f | %8.2f %8.2f\n%!" name
+              blocks events pops
+              (if events > 0 then pops /. float_of_int events else 0.0)
+              (1e3 *. sim_s) (1e3 *. ref_s);
+            ( Json.Obj
+                [
+                  ("case", Json.Str name);
+                  ("blocks", Json.Num (float_of_int blocks));
+                  ( "makespans",
+                    Json.List
+                      (List.map
+                         (fun (r : Sim.report) ->
+                           Json.Str (Printf.sprintf "%h" r.Sim.time))
+                         got) );
+                  ("events", Json.Num (float_of_int events));
+                  ("pops", Json.Num pops);
+                  ("sim_s", Json.Num sim_s);
+                  ("ref_s", Json.Num ref_s);
+                ]
+              :: rows,
+              st +. sim_s,
+              rt +. ref_s ))
+          (rows, st, rt) [ 2; 8 ])
+      ([], 0.0, 0.0) (named @ seeded)
+  in
+  let speedup = if sim_total > 0.0 then ref_total /. sim_total else 0.0 in
+  Printf.printf "   sim %.3fs, reference %.3fs: %.2fx\n" sim_total ref_total speedup;
+  let json =
+    Json.Obj
+      [
+        ("schema_version", Json.Num 1.0);
+        ("bench", Json.Str "sim");
+        ("mode", Json.Str (if !full then "full" else "smoke"));
+        ("sim_s", Json.Num sim_total);
+        ("ref_s", Json.Num ref_total);
+        ("speedup", Json.Num speedup);
+        ("rows", Json.List (List.rev rows));
+      ]
+  in
+  let oc = open_out "BENCH_sim.json" in
+  output_string oc (Json.to_string ~pretty:true json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "   wrote BENCH_sim.json\n%!"
+
 (* --- Fleet warming gate: registry hit rate on a cold production grid ---- *)
 
 (* Warm one root-0 anchor per (family, collective, bucket) into a fresh
@@ -836,8 +960,51 @@ let bench_report () =
     match row with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
   in
   let num row k = match field row k with Some (Json.Num v) -> v | _ -> nan in
-  match !report_fleet with
-  | Some path ->
+  match (!report_sim, !report_fleet) with
+  | Some path, _ ->
+      (* Simulator gate: every baseline row must be present, with
+         bit-equal makespans, equal events and no more heap pops.  Wall
+         times are reported, never gated. *)
+      Printf.printf "\n== bench report: %s vs baseline %s ==\n" path
+        !report_baseline;
+      let base = rows (read !report_baseline) and cur = rows (read path) in
+      if base = [] || cur = [] then begin
+        Printf.printf "report: missing or empty %s\n"
+          (if base = [] then !report_baseline else path);
+        exit 1
+      end;
+      let key row = (field row "case", num row "blocks") in
+      let problems =
+        List.concat_map
+          (fun brow ->
+            let case =
+              match field brow "case" with Some (Json.Str s) -> s | _ -> "?"
+            in
+            let label = Printf.sprintf "%s @%.0f blocks" case (num brow "blocks") in
+            match List.find_opt (fun crow -> key crow = key brow) cur with
+            | None -> [ label ^ ": row missing from current run" ]
+            | Some crow ->
+                (if field crow "makespans" = field brow "makespans" then []
+                 else [ label ^ ": makespans differ from baseline" ])
+                @ (if num crow "events" = num brow "events" then []
+                   else [ label ^ ": event count differs from baseline" ])
+                @
+                if num crow "pops" <= num brow "pops" then []
+                else
+                  [
+                    Printf.sprintf "%s: %.0f heap pops, baseline %.0f" label
+                      (num crow "pops") (num brow "pops");
+                  ])
+          base
+      in
+      List.iter (Printf.printf "report: %s\n") problems;
+      if problems <> [] then exit 1
+      else
+        Printf.printf
+          "report: sim gate ok (%d rows: makespans bit-equal, pops within \
+           baseline)\n"
+          (List.length base)
+  | None, Some path ->
       (* Fleet registry hit-rate gate: every family warmed by
          `fleet` must reach >=90% transported + cross-bucket hits on its
          cold production grid.  --check keeps the gate non-vacuous: a
@@ -879,7 +1046,7 @@ let bench_report () =
           else
             Printf.printf "report: fleet gate ok (%d families)\n"
               (List.length frows))
-  | None ->
+  | None, None ->
   let base = read !report_baseline and cur = read !report_current in
   Printf.printf "\n== bench report: %s vs baseline %s (threshold %.1fx) ==\n"
     !report_current !report_baseline !report_threshold;
@@ -1068,6 +1235,7 @@ let targets =
     ("tab5", tab5); ("fig17a", fig17a); ("fig17b", fig17b); ("fig17c", fig17c);
     ("tab6", tab6); ("fig21a", fig21a); ("fig21b", fig21b); ("fig22a", fig22a);
     ("milp", bench_milp);
+    ("sim", bench_sim);
     ("fleet", bench_fleet);
     ("lower", bench_lower);
     ("report", bench_report);
@@ -1091,6 +1259,7 @@ let () =
   Option.iter (fun v -> report_baseline := v) (keyed "--baseline=");
   Option.iter (fun v -> report_current := v) (keyed "--current=");
   Option.iter (fun v -> report_fleet := Some v) (keyed "--fleet=");
+  Option.iter (fun v -> report_sim := Some v) (keyed "--sim=");
   Option.iter
     (fun v -> report_threshold := float_of_string v)
     (keyed "--threshold=");

@@ -604,6 +604,153 @@ let prop_lp_differential ctx =
         (lp_status dense) (lp_status revised) (pp_lp p)
 
 (* ------------------------------------------------------------------ *)
+(* sim differential: the production simulator against the verbatim
+   pre-rewrite one (Sim_ref), plus soundness of the port-load bound that
+   screening prunes with.  Heap entries are totally ordered by
+   (avail, prio, transfer, block) and each block is in at most one queue,
+   so any correct heap pops the same sequence: time, events and every
+   transfer's finish must agree bit for bit, and failing schedules
+   (deadlocks, event-cap overruns) must fail with the same message.
+   Inputs: valid schedule sets, their shared-port union, and stacked
+   mutants, at a random block count. *)
+
+let bits = Int64.bits_of_float
+
+let same_report (a : Sim.report) (b : Sim.report) =
+  bits a.Sim.time = bits b.Sim.time
+  && a.Sim.events = b.Sim.events
+  && Array.length a.Sim.xfer_finish = Array.length b.Sim.xfer_finish
+  && Array.for_all2
+       (fun x y -> bits x = bits y)
+       a.Sim.xfer_finish b.Sim.xfer_finish
+
+let outcome f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+
+(* Up to [max] random mutations stacked on one schedule. *)
+let mutants rng topo ~max s =
+  let rec go k s =
+    if k = 0 then s
+    else
+      match Gen.mutate rng topo (Gen.mutation rng) s with
+      | Some s' -> go (k - 1) s'
+      | None -> go (k - 1) s
+  in
+  go (X.int rng (max + 1)) s
+
+let prop_sim_differential ctx =
+  let rng = ctx.rng in
+  let topo = Gen.topology rng in
+  let coll = Gen.collective rng ~n:(Topology.num_gpus topo) in
+  let schedules = Gen.schedules rng topo coll in
+  let schedules =
+    if X.int rng 4 = 0 then [ Schedule.union schedules ] else schedules
+  in
+  let blocks = X.pick rng [| 1; 2; 3; 8; 16 |] in
+  let rec go = function
+    | [] -> Pass
+    | s :: rest -> (
+        let s = mutants rng topo ~max:3 s in
+        let got = outcome (fun () -> Sim.run ~blocks topo s) in
+        let want = outcome (fun () -> Sim_ref.run ~blocks topo s) in
+        match (got, want) with
+        | Ok a, Ok b when same_report a b ->
+            let bound = Sim.lower_bound ~blocks topo s in
+            if bound > a.Sim.time then
+              failf "sim-differential: port-load bound %h exceeds makespan %h\n%s"
+                bound a.Sim.time (pp_schedule s)
+            else go rest
+        | Error a, Error b when a = b -> go rest
+        | _ ->
+            let show = function
+              | Ok (r : Sim.report) ->
+                  Printf.sprintf "time %h, %d events" r.Sim.time r.Sim.events
+              | Error e -> "raised " ^ e
+            in
+            failf "sim-differential (blocks %d): Sim %s, Sim_ref %s\n%s" blocks
+              (show got) (show want) (pp_schedule s))
+  in
+  go schedules
+
+(* ------------------------------------------------------------------ *)
+(* validate differential: the production validator against the verbatim
+   pre-rewrite one (Validate_ref) — identical Ok/Error and identical error
+   strings from check, covers (against the schedule's own phase and a
+   mismatched demand) and validate, on valid schedule sets and stacked
+   mutants. *)
+
+let prop_validate_differential ctx =
+  let rng = ctx.rng in
+  let topo = Gen.topology rng in
+  let n = Topology.num_gpus topo in
+  let coll = Gen.collective rng ~n in
+  let other = Gen.collective rng ~n in
+  (* Redraw one chunk's [initial] set: contributor-free relays in reduce
+     chains and multi-holder gathers are where the closure walks differ
+     from the reference fixpoints, and valid baselines rarely have them. *)
+  let reseed (s : Schedule.t) =
+    let nc = Array.length s.Schedule.chunks in
+    if nc = 0 then s
+    else begin
+      let c = X.int rng nc in
+      let chunks = Array.copy s.Schedule.chunks in
+      let m = chunks.(c) in
+      let initial =
+        List.filter (fun _ -> X.bool rng) (List.init n Fun.id)
+        |> function [] -> [ X.int rng n ] | l -> l
+      in
+      chunks.(c) <- { m with Schedule.initial };
+      { s with Schedule.chunks }
+    end
+  in
+  let schedules =
+    List.map
+      (fun s ->
+        let s = if X.int rng 4 = 0 then reseed s else s in
+        if X.bool rng then mutants rng topo ~max:3 s else s)
+      (Gen.schedules rng topo coll)
+  in
+  let agree what f g =
+    let a = outcome f and b = outcome g in
+    if a = b then None
+    else
+      let show = function
+        | Ok (Ok ()) -> "Ok"
+        | Ok (Error e) -> "Error " ^ e
+        | Error e -> "raised " ^ e
+      in
+      Some (Printf.sprintf "%s: Validate %s, Validate_ref %s" what (show a) (show b))
+  in
+  let per_schedule i s =
+    let phase = List.nth_opt (Collective.phases coll) i in
+    [
+      agree "check" (fun () -> Validate.check topo s)
+        (fun () -> Validate_ref.check topo s);
+      agree "covers (mismatched demand)"
+        (fun () -> Validate.covers topo other s)
+        (fun () -> Validate_ref.covers topo other s);
+    ]
+    @
+    match phase with
+    | None -> []
+    | Some phase ->
+        [
+          agree "covers" (fun () -> Validate.covers topo phase s)
+            (fun () -> Validate_ref.covers topo phase s);
+        ]
+  in
+  let diffs =
+    agree "validate"
+      (fun () -> Validate.validate topo coll schedules)
+      (fun () -> Validate_ref.validate topo coll schedules)
+    :: List.concat (List.mapi per_schedule schedules)
+  in
+  match List.filter_map Fun.id diffs with
+  | [] -> Pass
+  | d :: _ ->
+      failf "validate-differential: %s\n%s" d
+        (String.concat "\n" (List.map pp_schedule schedules))
+
+(* ------------------------------------------------------------------ *)
 (* degraded validity: whatever rung of the ladder serves a punctured
    topology, the result must validate on the punctured topology — a
    degraded schedule crossing a dead link would be an outage dressed up
@@ -757,6 +904,9 @@ let all =
       check = prop_registry_transport };
     { name = "size-bucket"; heavy = false; check = prop_size_bucket };
     { name = "lp-differential"; heavy = false; check = prop_lp_differential };
+    { name = "sim-differential"; heavy = false; check = prop_sim_differential };
+    { name = "validate-differential"; heavy = false;
+      check = prop_validate_differential };
     { name = "degraded-validity"; heavy = true; check = prop_degraded_validity };
     { name = "fault-orbit-transport"; heavy = false;
       check = prop_fault_orbit_transport };

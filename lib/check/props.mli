@@ -43,6 +43,15 @@ val all : prop list
     - [reorder-benign]: transfer-list order never affects validity;
     - [registry-fidelity]: entries stored at one simulator fidelity
       survive probes at another, and report store-time fidelity;
+    - [sim-differential]: {!Syccl_sim.Sim.run} agrees bit for bit with the
+      reference simulator {!Sim_ref} — [time], [events], every
+      [xfer_finish], and the failure message of deadlocked or event-capped
+      runs — on valid schedules, shared-port unions and stacked mutants;
+      and {!Syccl_sim.Sim.lower_bound} never exceeds the makespan;
+    - [validate-differential]: {!Syccl_sim.Validate} returns exactly what
+      the reference validator {!Validate_ref} returns (verdict and error
+      string) from [check], [covers] and [validate], on valid schedules and
+      stacked mutants;
     - [size-bucket]: {!Syccl_serve.Registry.size_bucket} is the exact
       power-of-two floor;
     - [lower-replay]: lowering any refcheck-valid schedule to MSCCL XML,

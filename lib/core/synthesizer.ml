@@ -356,6 +356,56 @@ let synth_sendrecv cfg topo (phase : Collective.t) =
       (s, t, zero_breakdown, 0, List.length direct + List.length relays, "sendrecv")
   | None -> failwith "Synthesizer: peers are not connected"
 
+(* Screening simulation with port-load pruning.  Candidates are simulated
+   in ascending order of their exact lower bound ({!Sim.lower_bound}), one
+   pool-width batch at a time; a candidate whose bound already exceeds the
+   best simulated time so far × (1 + r1) could never pass the R1 filter
+   (its time ≥ bound > incumbent × (1 + r1) ≥ best × (1 + r1)), so it is
+   not simulated and gets time [infinity].  The survivor set, and so the
+   chosen schedule, is the same as simulating everything; only the
+   [sim.pruned] count depends on the pool width. *)
+let screen ~pool ~r1 ~blocks topo candidates =
+  let order = Array.init (Array.length candidates) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let _, _, _, a = candidates.(i) and _, _, _, b = candidates.(j) in
+      Float.compare a b)
+    order;
+  let times = Array.make (Array.length candidates) infinity in
+  let incumbent = ref infinity in
+  let width = max 1 (Pool.size pool) in
+  let rec go start =
+    if start < Array.length order then begin
+      let batch =
+        Array.sub order start (min width (Array.length order - start))
+        |> Array.to_list
+        |> List.filter (fun i ->
+               let _, _, _, bound = candidates.(i) in
+               if bound > !incumbent *. (1.0 +. r1) then begin
+                 Counters.bump "sim.pruned";
+                 false
+               end
+               else true)
+        |> Array.of_list
+      in
+      let ts =
+        Pool.map pool
+          (fun i ->
+            let _, _, s, _ = candidates.(i) in
+            Sim.time ~blocks topo s)
+          batch
+      in
+      Array.iteri
+        (fun k i ->
+          times.(i) <- ts.(k);
+          incumbent := Float.min !incumbent ts.(k))
+        batch;
+      go (start + width)
+    end
+  in
+  go 0;
+  Array.to_list (Array.mapi (fun i (c, p, s, _) -> (c, p, s, times.(i))) candidates)
+
 (* Synthesize one non-AllReduce phase; returns (schedule, simulated time,
    stats).  The schedule is already mirrored for reduce-family phases. *)
 let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
@@ -518,14 +568,15 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
            so assembly + simulation also spread across the pool (the
            class-solution table is read-only by now). *)
         let screen_blocks = min 2 cfg.blocks in
-        ( Array.to_list
-            (Pool.map pool
-               (fun (c, p) ->
-                 let s = Subsolver.assemble p ~solution in
-                 let s = if mirrored then mirror s else s in
-                 (c, p, s, Sim.time ~blocks:screen_blocks topo s))
-               (Array.of_list plans)),
-          solution ))
+        let assembled =
+          Pool.map pool
+            (fun (c, p) ->
+              let s = Subsolver.assemble p ~solution in
+              let s = if mirrored then mirror s else s in
+              (c, p, s, Sim.lower_bound ~blocks:screen_blocks topo s))
+            (Array.of_list plans)
+        in
+        (screen ~pool ~r1:cfg.r1 ~blocks:screen_blocks topo assembled, solution))
   in
   (* Very large schedules are simulated with coarser pipelining: block count
      barely moves the makespan once chunks are megabytes, but event counts
@@ -572,8 +623,12 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
               let s2 = Subsolver.assemble p ~solution in
               let s2 = if mirrored then mirror s2 else s2 in
               let t1 = Sim.time ~blocks:(fidelity_blocks s1) topo s1 in
-              let t2 = Sim.time ~blocks:(fidelity_blocks s2) topo s2 in
-              if t2 < t1 then (c, p, s2, t2) else (c, p, s1, t1))
+              (* Refinement often returns the coarse schedule unchanged; the
+                 simulator is deterministic, so it would only re-derive t1. *)
+              if s2 = s1 then (c, p, s1, t1)
+              else
+                let t2 = Sim.time ~blocks:(fidelity_blocks s2) topo s2 in
+                if t2 < t1 then (c, p, s2, t2) else (c, p, s1, t1))
             survivors
         end)
   in

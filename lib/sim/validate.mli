@@ -32,4 +32,8 @@ val validate :
     collective ({!Syccl_collective.Collective.phases}), each run through
     {!covers} against its phase.  Errors are prefixed with the phase
     index.  This is the post-condition every degradation-ladder rung must
-    pass before its result is returned. *)
+    pass before its result is returned.  Each call records its wall time
+    in the [validate_s] histogram and opens one [validate] trace span.
+
+    Validation is linear in the schedule size (plus sorting each chunk's
+    destinations and contributor sets). *)

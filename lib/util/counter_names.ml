@@ -31,6 +31,13 @@ let exact =
     "milp.nodes_per_solve";
     "milp.solve_s";
     "milp.solves";
+    (* lib/sim *)
+    "sim.events";
+    "sim.pops";
+    "sim.pruned";
+    "sim.run_s";
+    "sim.runs";
+    "validate_s";
     (* lib/core *)
     "cache.subsolve.hits";
     "cache.subsolve.misses";

@@ -8,6 +8,9 @@ module C = Syccl_collective.Collective
 module Schedule = Syccl_sim.Schedule
 module Sim = Syccl_sim.Sim
 module Validate = Syccl_sim.Validate
+module Sim_ref = Syccl_check.Sim_ref
+module Validate_ref = Syccl_check.Validate_ref
+module Synth = Syccl.Synthesizer
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -198,6 +201,91 @@ let test_covers_wrong_fraction () =
   check Alcotest.bool "fraction shortfall flagged" true
     (Result.is_error (Validate.covers topo coll s))
 
+(* --- Differential: production simulator/validator vs the reference
+   implementations they replaced, on real synthesis winners --- *)
+
+let bits = Int64.bits_of_float
+
+let same_as_reference ?(block_counts = [ 1; 2; 8 ]) what topo coll schedules =
+  List.iteri
+    (fun phase s ->
+      List.iter
+        (fun blocks ->
+          let got = Sim.run ~blocks topo s and want = Sim_ref.run ~blocks topo s in
+          let label = Printf.sprintf "%s phase %d blocks %d" what phase blocks in
+          check Alcotest.int64 (label ^ " time bits") (bits want.Sim.time)
+            (bits got.Sim.time);
+          check Alcotest.int (label ^ " events") want.Sim.events got.Sim.events;
+          check Alcotest.bool (label ^ " xfer_finish bits") true
+            (Array.map bits got.Sim.xfer_finish
+            = Array.map bits want.Sim.xfer_finish))
+        block_counts)
+    schedules;
+  check
+    Alcotest.(result unit string)
+    (what ^ " verdict")
+    (Validate_ref.validate topo coll schedules)
+    (Validate.validate topo coll schedules)
+
+let winner topo kind ~size =
+  let n = T.num_gpus topo in
+  let coll = C.make kind ~n ~size in
+  (coll, (Synth.synthesize topo coll).Synth.schedules)
+
+let test_differential_a100_alltoall () =
+  let topo = Builders.a100 ~servers:4 in
+  List.iter
+    (fun size ->
+      let coll, schedules = winner topo C.AllToAll ~size in
+      same_as_reference
+        (Printf.sprintf "a100-32 AlltoAll %.0f" size)
+        topo coll schedules)
+    [ 65536.0; 16777216.0 ]
+
+let test_differential_h800_allgather () =
+  let topo = Builders.h800 ~servers:8 in
+  let coll, schedules = winner topo C.AllGather ~size:16777216.0 in
+  same_as_reference ~block_counts:[ 2; 8 ] "h800-64 AllGather" topo coll
+    schedules
+
+(* Failures must match too: the same deadlock message, and a NaN-sized
+   chunk (NaN availability times) must order and propagate the same way. *)
+let test_differential_failures () =
+  let topo = flat 3 100.0 1e-6 in
+  let dead = { Schedule.chunks = [| gather_chunk 1e6 [ 0 ] [ 2 ] |]; xfers = [ xfer 0 1 2 ] } in
+  let outcome f = match f () with _ -> "ok" | exception e -> Printexc.to_string e in
+  check Alcotest.string "deadlock message"
+    (outcome (fun () -> Sim_ref.run topo dead))
+    (outcome (fun () -> Sim.run topo dead));
+  let nan_sized =
+    {
+      Schedule.chunks =
+        [| gather_chunk Float.nan [ 0 ] [ 1; 2 ]; gather_chunk ~tag:1 1e6 [ 0 ] [ 1 ] |];
+      xfers = [ xfer 0 0 1; xfer ~prio:1 0 1 2; xfer 1 0 1 ];
+    }
+  in
+  let got = Sim.run topo nan_sized and want = Sim_ref.run topo nan_sized in
+  check Alcotest.int "NaN events" want.Sim.events got.Sim.events;
+  check Alcotest.bool "NaN xfer_finish bits" true
+    (Array.map bits got.Sim.xfer_finish = Array.map bits want.Sim.xfer_finish)
+
+let test_counters () =
+  let topo = flat 4 100.0 1e-6 in
+  let s =
+    {
+      Schedule.chunks = [| gather_chunk 1e6 [ 0 ] [ 1; 2; 3 ] |];
+      xfers = [ xfer 0 0 1; xfer 0 0 2; xfer 0 0 3 ];
+    }
+  in
+  let v = Syccl_util.Counters.value in
+  let runs = v "sim.runs" and events = v "sim.events" and pops = v "sim.pops" in
+  let r = Sim.run ~blocks:4 topo s in
+  check (Alcotest.float 0.0) "one run" (runs +. 1.0) (v "sim.runs");
+  check (Alcotest.float 0.0) "events" (events +. float_of_int r.Sim.events)
+    (v "sim.events");
+  check Alcotest.bool "pops >= events" true
+    (v "sim.pops" -. pops >= float_of_int r.Sim.events)
+
 let suite =
   [
     ("single transfer time", `Quick, test_single_transfer_time);
@@ -216,4 +304,8 @@ let suite =
     ("validate duplicate delivery", `Quick, test_validate_catches_duplicate);
     ("validate reduce tree", `Quick, test_validate_reduce_tree);
     ("covers wrong fraction", `Quick, test_covers_wrong_fraction);
+    ("differential: failures", `Quick, test_differential_failures);
+    ("counters", `Quick, test_counters);
+    ("differential: a100-32 AlltoAll winners", `Slow, test_differential_a100_alltoall);
+    ("differential: h800-64 AllGather winner", `Slow, test_differential_h800_allgather);
   ]
