@@ -37,6 +37,10 @@ let report_fleet = ref None
    bench_report). *)
 let report_sim = ref None
 
+(* `report --subsolve=FILE`: gate BENCH_subsolve.json against --baseline
+   (see report_subsolve_gate). *)
+let report_subsolve = ref None
+
 (* Pool/cache activity footer for the synthesis-time figures. *)
 let runtime_stats () =
   let v = Counters.value in
@@ -825,6 +829,133 @@ let bench_sim () =
   close_out oc;
   Printf.printf "   wrote BENCH_sim.json\n%!"
 
+(* Gate BENCH_subsolve.json: every baseline row present, with the same
+   chosen-schedule digest and no more canonical forms, transfers or
+   transfer failures.  A missing or empty file fails outright. *)
+let report_subsolve_gate path =
+  let module Json = Syccl_util.Json in
+  let rows path =
+    if not (Sys.file_exists path) then []
+    else
+      let ic = open_in path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      match Json.of_string text with
+      | Json.Obj kvs -> (
+          match List.assoc_opt "rows" kvs with Some (Json.List l) -> l | _ -> [])
+      | _ -> []
+  in
+  let field row k = match row with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
+  let num row k = match field row k with Some (Json.Num v) -> v | _ -> nan in
+  Printf.printf "\n== bench report: %s vs baseline %s ==\n" path !report_baseline;
+  let base = rows !report_baseline and cur = rows path in
+  if base = [] || cur = [] then begin
+    Printf.printf "report: missing or empty %s\n"
+      (if base = [] then !report_baseline else path);
+    exit 1
+  end;
+  let problems =
+    List.concat_map
+      (fun brow ->
+        let label =
+          match field brow "case" with Some (Json.Str s) -> s | _ -> "?"
+        in
+        match List.find_opt (fun crow -> field crow "case" = field brow "case") cur with
+        | None -> [ label ^ ": row missing from current run" ]
+        | Some crow ->
+            (if field crow "schedule_md5" = field brow "schedule_md5" then []
+             else [ label ^ ": chosen schedules differ from baseline" ])
+            @ List.filter_map
+                (fun k ->
+                  if num crow k <= num brow k then None
+                  else
+                    Some
+                      (Printf.sprintf "%s: %s %.0f, baseline %.0f" label k
+                         (num crow k) (num brow k)))
+                [ "subsolve.canon"; "subsolve.transfers"; "subsolve.transfer_fail" ])
+      base
+  in
+  List.iter (Printf.printf "report: %s\n") problems;
+  if problems <> [] then exit 1
+  else
+    Printf.printf
+      "report: subsolve gate ok (%d rows: schedules identical, work counts \
+       within baseline)\n"
+      (List.length base)
+
+(* --- Sub-demand canonicalization gate ----------------------------------- *)
+
+(* Cold syntheses of the a100-16/32 AllGather, AllReduce and AlltoAll cells
+   at 64 KiB and 16 MiB (plus h800-64 AllGather at 16 MiB outside --smoke),
+   each from empty caches with the default config.  Per cell it records
+   the canonical forms computed, the representative-to-member transfers
+   and their failures (deterministic work counts of the symmetry mapping)
+   and the MD5 of the chosen schedules; `report --check
+   --subsolve=BENCH_subsolve.json` gates on those, never on wall time. *)
+let bench_subsolve () =
+  let module Json = Syccl_util.Json in
+  let module Synth = Syccl.Synthesizer in
+  Printf.printf
+    "\n== bench subsolve: canonical forms, transfers and chosen schedules ==\n";
+  let cells =
+    List.concat_map
+      (fun (tname, topo) ->
+        List.concat_map
+          (fun kind ->
+            List.map (fun size -> (tname, topo, kind, size)) [ 6.5536e4; 1.6777216e7 ])
+          [ C.AllGather; C.AllReduce; C.AllToAll ])
+      [ ("a100-16", Builders.a100 ~servers:2); ("a100-32", Builders.a100 ~servers:4) ]
+    @
+    if !smoke then []
+    else [ ("h800-64", Builders.h800 ~servers:8, C.AllGather, 1.6777216e7) ]
+  in
+  let counted = [ "subsolve.canon"; "subsolve.transfers"; "subsolve.transfer_fail" ] in
+  Printf.printf "%-24s | %7s %9s %5s | %-32s %7s\n" "case" "canon" "transfers"
+    "fail" "schedule md5" "wall_s";
+  let rows =
+    List.map
+      (fun (tname, topo, kind, size) ->
+        Synth.reset_caches ();
+        let case = Printf.sprintf "%s/%s/%s" tname (C.kind_name kind) (pp_size size) in
+        let before = List.map Counters.value counted in
+        let t0 = Unix.gettimeofday () in
+        let o = Synth.synthesize topo (C.make kind ~n:(T.num_gpus topo) ~size) in
+        let wall_s = Unix.gettimeofday () -. t0 in
+        let counts = List.map2 (fun k b -> Counters.value k -. b) counted before in
+        let md5 =
+          Digest.to_hex
+            (Digest.string
+               (String.concat "\n"
+                  (List.map
+                     (fun s -> Json.to_string (Syccl_sim.Schedule.to_json s))
+                     o.Synth.schedules)))
+        in
+        (match counts with
+        | [ canon; transfers; fail ] ->
+            Printf.printf "%-24s | %7.0f %9.0f %5.0f | %-32s %7.2f\n%!" case canon
+              transfers fail md5 wall_s
+        | _ -> ());
+        Json.Obj
+          ([ ("case", Json.Str case) ]
+          @ List.map2 (fun k c -> (k, Json.Num c)) counted counts
+          @ [ ("schedule_md5", Json.Str md5); ("wall_s", Json.Num wall_s) ]))
+      cells
+  in
+  let json =
+    Json.Obj
+      [
+        ("schema_version", Json.Num 1.0);
+        ("bench", Json.Str "subsolve");
+        ("mode", Json.Str (if !smoke then "smoke" else "full"));
+        ("rows", Json.List rows);
+      ]
+  in
+  let oc = open_out "BENCH_subsolve.json" in
+  output_string oc (Json.to_string ~pretty:true json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "   wrote BENCH_subsolve.json\n%!"
+
 (* --- Fleet warming gate: registry hit rate on a cold production grid ---- *)
 
 (* Warm one root-0 anchor per (family, collective, bucket) into a fresh
@@ -1123,7 +1254,7 @@ let emit_and_check_trace path =
     (fun i s ->
       let pid = Trace.sim_pid + i in
       Trace.set_process_name ~pid (Printf.sprintf "sim phase %d" i);
-      ignore (Sim.run ~trace_pid:pid topo s))
+      ignore (Sim.timeline ~pid topo s))
     o.Synth.schedules;
   Trace.disable ();
   Trace.export_file path;
@@ -1236,9 +1367,14 @@ let targets =
     ("tab6", tab6); ("fig21a", fig21a); ("fig21b", fig21b); ("fig22a", fig22a);
     ("milp", bench_milp);
     ("sim", bench_sim);
+    ("subsolve", bench_subsolve);
     ("fleet", bench_fleet);
     ("lower", bench_lower);
-    ("report", bench_report);
+    ( "report",
+      fun () ->
+        match !report_subsolve with
+        | Some path -> report_subsolve_gate path
+        | None -> bench_report () );
   ]
 
 let () =
@@ -1260,6 +1396,7 @@ let () =
   Option.iter (fun v -> report_current := v) (keyed "--current=");
   Option.iter (fun v -> report_fleet := Some v) (keyed "--fleet=");
   Option.iter (fun v -> report_sim := Some v) (keyed "--sim=");
+  Option.iter (fun v -> report_subsolve := Some v) (keyed "--subsolve=");
   Option.iter
     (fun v -> report_threshold := float_of_string v)
     (keyed "--threshold=");

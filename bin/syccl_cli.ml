@@ -272,14 +272,15 @@ let write_json_file ~what path (j : Syccl_util.Json.t) =
 
 let write_stats_json path o = write_json_file ~what:"stats-json" path (stats_json o)
 
-let export_trace path =
+let export_trace ?(cut = 0) path =
   Syccl_util.Trace.disable ();
   Syccl_util.Trace.export_file path;
-  Format.printf "trace:      wrote %s (%d events, %d dropped) — load in \
+  Format.printf "trace:      wrote %s (%d events, %d dropped%s) — load in \
                  ui.perfetto.dev@."
     path
     (List.length (Syccl_util.Trace.events ()))
     (Syccl_util.Trace.dropped ())
+    (if cut > 0 then Printf.sprintf ", %d timeline events cut" cut else "")
 
 let topo_cmd =
   let run name =
@@ -346,17 +347,23 @@ let synth_cmd =
     | None -> ()
     | Some path ->
         (* Re-simulate the winning schedules with timeline export on: one
-           Perfetto process per phase, one track per active port. *)
+           Perfetto process per phase, one track per active port.  The
+           timeline only fills the ring's free slots (less one for the
+           run's own span), so it never evicts the synthesis spans. *)
         Syccl_util.Trace.set_process_name ~pid:Syccl_util.Trace.synthesis_pid
           "synthesis";
-        List.iteri
-          (fun i s ->
-            let pid = Syccl_util.Trace.sim_pid + i in
-            Syccl_util.Trace.set_process_name ~pid
-              (Printf.sprintf "sim phase %d (virtual time)" i);
-            ignore (S.Sim.run ~blocks:config.blocks ~trace_pid:pid topo s))
-          o.schedules;
-        export_trace path);
+        let cut =
+          List.fold_left
+            (fun cut (i, s) ->
+              let pid = Syccl_util.Trace.sim_pid + i in
+              Syccl_util.Trace.set_process_name ~pid
+                (Printf.sprintf "sim phase %d (virtual time)" i);
+              let limit = Syccl_util.Trace.free_slots () - 1 in
+              cut + snd (S.Sim.timeline ~blocks:config.blocks ~pid ~limit topo s))
+            0
+            (List.mapi (fun i s -> (i, s)) o.schedules)
+        in
+        export_trace ~cut path);
     if stats then print_stats ();
     if metrics then print_metrics ();
     Option.iter (fun p -> write_stats_json p o) sjson;

@@ -838,6 +838,192 @@ let prop_fault_orbit_transport ctx =
                       else Pass))))
 
 (* ------------------------------------------------------------------ *)
+(* canon differential: the one-pass canonical form (Subsolver.canon) against
+   the verbatim pre-rewrite canonicalization (Subsolver_ref), on the merged
+   sub-demands of random combos' plans, healthy or punctured.  The two
+   class keys must partition the demands identically (absolute and
+   size-normalized); transferring a class representative's solution onto
+   every member, onto a demand of another class and onto a rescaled copy
+   must give identical schedules (absolute and normalized mappings, with
+   precomputed forms or without); and verify must give identical verdicts
+   on mutated transfer lists. *)
+
+module Subsolver = Syccl.Subsolver
+
+let plan_demands rng topo =
+  let n = Topology.num_gpus topo in
+  let phase =
+    Gen.collective rng ~n
+      ~kinds:
+        Collective.
+          [| Broadcast; Scatter; Gather; Reduce; AllGather; AllToAll;
+             ReduceScatter |]
+  in
+  let prims = Collective.decompose phase in
+  let p0 = List.hd prims in
+  let kind = p0.Collective.p_kind in
+  let sketches =
+    Syccl.Search.run ~config:(Syccl.Search.default topo kind) topo ~kind
+      ~root:p0.Collective.p_root
+    |> List.filteri (fun i _ -> i < 6)
+  in
+  let combos =
+    if List.length prims > 1 then
+      Syccl.Combine.combos_all_to_all ~max_combos:4 topo sketches
+    else Syccl.Combine.combos_one_to_all ~max_combos:4 topo sketches
+  in
+  List.concat_map
+    (fun c -> (Subsolver.plan topo phase c).Subsolver.demands)
+    combos
+
+(* Same demand with every entry size scaled: equal normalized keys, a
+   different size bucket — the cross-size memo case. *)
+let rescale f (d : Subsolver.demand) =
+  {
+    d with
+    Subsolver.entries =
+      List.map
+        (fun (e : Subsolver.entry) ->
+          { e with Subsolver.e_size = f *. e.Subsolver.e_size })
+        d.Subsolver.entries;
+  }
+
+let mutate_xfers rng topo (xs : Schedule.xfer list) ~entries =
+  let a = Array.of_list xs in
+  let nx = Array.length a in
+  if nx = 0 then xs
+  else
+    let i = X.int rng nx in
+    let x = a.(i) in
+    let replace y = List.mapi (fun j z -> if j = i then y else z) xs in
+    match X.int rng 7 with
+    | 0 -> List.filteri (fun j _ -> j <> i) xs
+    | 1 -> x :: xs
+    | 2 -> replace { x with Schedule.src = x.Schedule.dst; dst = x.Schedule.src }
+    | 3 -> replace { x with Schedule.dst = X.int rng (Topology.num_gpus topo) }
+    | 4 -> replace { x with Schedule.chunk = X.int rng (entries + 1) }
+    | 5 -> replace { x with Schedule.dim = X.int rng (Topology.num_dims topo) }
+    | _ -> List.rev xs
+
+let prop_canon_differential ctx =
+  let rng = ctx.rng in
+  let topo = Gen.topology rng in
+  let topo =
+    if X.int rng 3 = 0 then
+      match draw_faults rng topo ~max_elts:2 with
+      | Some f -> Topology.puncture topo f
+      | None -> topo
+    else topo
+  in
+  let demands = Array.of_list (plan_demands rng topo) in
+  if Array.length demands = 0 then Skip "no combination"
+  else
+    let partition knew kold =
+      let fwd = Hashtbl.create 64 and bwd = Hashtbl.create 64 in
+      Array.for_all
+        (fun d ->
+          let kn = knew topo d and ko = kold topo d in
+          let agree tbl k v =
+            match Hashtbl.find_opt tbl k with
+            | Some v' -> v = v'
+            | None ->
+                Hashtbl.replace tbl k v;
+                true
+          in
+          agree fwd ko kn && agree bwd kn ko)
+        demands
+    in
+    if not (partition Subsolver.class_key Subsolver_ref.class_key) then
+      failf "canon-differential: class partitions differ on %s" topo.Topology.name
+    else if
+      not
+        (partition
+           (fun topo d -> Subsolver.key (Subsolver.canon ~normalized:true topo d))
+           Subsolver_ref.norm_class_key)
+    then
+      failf "canon-differential: normalized class partitions differ on %s"
+        topo.Topology.name
+    else begin
+      let classes = Hashtbl.create 16 in
+      Array.iter
+        (fun d ->
+          let k = Subsolver_ref.class_key topo d in
+          Hashtbl.replace classes k
+            (d :: Option.value (Hashtbl.find_opt classes k) ~default:[]))
+        demands;
+      let show (d : Subsolver.demand) =
+        Printf.sprintf "demand (stage %d, dim %d, group %d, %d entries)"
+          d.Subsolver.d_stage d.Subsolver.d_dim d.Subsolver.d_group
+          (List.length d.Subsolver.entries)
+      in
+      let same normalized ~rep ~rep_xfers d =
+        let want = Subsolver_ref.transfer ~normalized topo ~rep ~rep_xfers d in
+        let rc = Subsolver.canon ~normalized topo rep
+        and dc = Subsolver.canon ~normalized topo d in
+        let got =
+          [
+            Subsolver.transfer ~normalized topo ~rep ~rep_xfers d;
+            Subsolver.transfer ~normalized ~rc ~dc topo ~rep ~rep_xfers d;
+          ]
+        in
+        List.for_all
+          (fun g ->
+            match (g, want) with
+            | (Subsolver.Identity a | Subsolver.Mapped a), Some b -> a = b
+            | Subsolver.Unmapped, None -> true
+            | _ -> false)
+          got
+      in
+      let failure = ref None in
+      let fail fmt =
+        Format.kasprintf (fun m -> if !failure = None then failure := Some m) fmt
+      in
+      let reps = Hashtbl.fold (fun _ ds acc -> List.rev ds :: acc) classes [] in
+      List.iteri
+        (fun ci members ->
+          if ci < 12 then
+            let rep = List.hd members in
+            match Subsolver.solve_demand Subsolver.Fast_only topo rep with
+            | exception Failure _ -> ()
+            | rep_xfers ->
+                let other = demands.(X.int rng (Array.length demands)) in
+                let scaled = rescale (X.pick rng [| 0.5; 3.0; 1024.0 |]) in
+                let member = List.nth members (X.int rng (List.length members)) in
+                let targets =
+                  List.filteri (fun i _ -> i < 8) members
+                  @ [ other; scaled rep; scaled member ]
+                in
+                List.iter
+                  (fun d ->
+                    if not (same false ~rep ~rep_xfers d) then
+                      fail "transfer differs from reference: %s -> %s" (show rep)
+                        (show d);
+                    if not (same true ~rep ~rep_xfers d) then
+                      fail "normalized transfer differs from reference: %s -> %s"
+                        (show rep) (show d))
+                  targets;
+                let entries = List.length rep.Subsolver.entries in
+                let xs = ref rep_xfers in
+                for _ = 1 to 4 do
+                  xs := mutate_xfers rng topo !xs ~entries;
+                  let a = Subsolver.verify topo rep !xs
+                  and b = Subsolver_ref.verify topo rep !xs in
+                  if a <> b then
+                    fail "verify %b, reference %b on %s:\n%s" a b (show rep)
+                      (String.concat "; "
+                         (List.map
+                            (fun (x : Schedule.xfer) ->
+                              Printf.sprintf "c%d %d>%d d%d" x.Schedule.chunk
+                                x.Schedule.src x.Schedule.dst x.Schedule.dim)
+                            !xs))
+                done)
+        reps;
+      match !failure with
+      | Some m -> failf "canon-differential on %s: %s" topo.Topology.name m
+      | None -> Pass
+    end
+
+(* ------------------------------------------------------------------ *)
 (* executor-level lowering oracle: lowering any valid schedule to MSCCL
    XML, parsing it back and replaying it step-by-step under executor
    semantics reproduces exactly the reference checker's verdict of the
@@ -907,6 +1093,8 @@ let all =
     { name = "sim-differential"; heavy = false; check = prop_sim_differential };
     { name = "validate-differential"; heavy = false;
       check = prop_validate_differential };
+    { name = "canon-differential"; heavy = false;
+      check = prop_canon_differential };
     { name = "degraded-validity"; heavy = true; check = prop_degraded_validity };
     { name = "fault-orbit-transport"; heavy = false;
       check = prop_fault_orbit_transport };

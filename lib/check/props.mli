@@ -52,6 +52,13 @@ val all : prop list
       the reference validator {!Validate_ref} returns (verdict and error
       string) from [check], [covers] and [validate], on valid schedules and
       stacked mutants;
+    - [canon-differential]: {!Syccl.Subsolver}'s one-pass canonical form
+      against the reference {!Subsolver_ref}, on the sub-demands of random
+      combos' plans over healthy and punctured topologies: the same class
+      partition (absolute and size-normalized keys), identical [transfer]
+      results for absolute and normalized mappings (onto class members,
+      other classes and rescaled copies, with and without precomputed
+      forms), and identical [verify] verdicts on mutated transfer lists;
     - [size-bucket]: {!Syccl_serve.Registry.size_bucket} is the exact
       power-of-two floor;
     - [lower-replay]: lowering any refcheck-valid schedule to MSCCL XML,

@@ -148,91 +148,186 @@ let max_entry_size demand =
 
 let rel_key base s = Printf.sprintf "%.5f" (s /. base)
 
-(* Canonical intra-group position order: positions sorted by their multiset
-   of roles across entries (1 round of refinement), ties by raw position.
-   Good enough to align symmetric demands; a failed alignment is caught by
-   verification and re-solved directly.  [sk] renders entry sizes into the
-   role keys: absolute by default, relative for cross-size matching. *)
-let canonical_positions ?(sk = size_key) topo demand =
-  let members = Topology.gpus_in_group topo ~dim:demand.d_dim ~group:demand.d_group in
+let c_canon = Syccl_util.Counters.int_counter "subsolve.canon"
+let c_transfers = Syccl_util.Counters.int_counter "subsolve.transfers"
+let c_transfer_fail = Syccl_util.Counters.int_counter "subsolve.transfer_fail"
+
+type canon = {
+  members : int array;  (* position -> GPU *)
+  rank : int array;  (* position -> canonical rank *)
+  order : int array;  (* canonical rank -> position *)
+  perm : int array;  (* canonical entry order -> entry index *)
+  entries_key : string;  (* digest of the sorted canonical entry keys *)
+  key : string;  (* class key *)
+}
+
+let key c = c.key
+
+(* Lexicographic order on int arrays, a proper prefix first: the order
+   [compare] gives the lists and tuples these arrays encode. *)
+let compare_lex (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i = la || i = lb then Int.compare la lb
+    else
+      let c = Int.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* Canonical intra-group position order: positions sorted by fault
+   adjacency, then by their multiset of roles across entries (1 round of
+   refinement), ties by raw position.  Good enough to align symmetric
+   demands; a failed alignment is caught by verification and re-solved
+   directly.  A role is the tuple (size key, is source, is destination,
+   #sources, #destinations); size keys render entry sizes absolutely, or
+   as ratios of the largest entry when [normalized] (cross-size matching).
+
+   Everything is built in one pass over the entries.  Each role is packed
+   into one int in lexicographic radix order, with the size key entering
+   as its rank among the demand's distinct size strings, and an entry key
+   (size, sorted source ranks, sorted destination ranks) becomes an int
+   array with each rank shifted up by one and each list closed by 0; so
+   comparing packed values orders positions and entries exactly as
+   comparing the tuples would. *)
+let canon ?(normalized = false) topo demand =
+  Atomic.incr c_canon;
+  let sk = if normalized then rel_key (max_entry_size demand) else size_key in
+  let dim = demand.d_dim in
+  let members = Topology.gpus_in_group topo ~dim ~group:demand.d_group in
   let np = Array.length members in
   let pos_of = Hashtbl.create np in
   Array.iteri (fun i v -> Hashtbl.replace pos_of v i) members;
-  let role p =
-    let v = members.(p) in
-    (* Refine positions by their fault adjacency first: a member sitting
-       next to a dead link (or itself dead) must never be aligned with a
-       pristine member of an isomorphic demand, or the transferred solution
-       would route through the hole.  Constant on healthy topologies, so
-       the canonical order there is unchanged. *)
-    let fault_sig =
-      if Fault.is_empty (Topology.faults topo) then (true, 0)
-      else
-        ( Topology.gpu_alive topo v,
-          Array.fold_left
-            (fun acc u ->
-              if u <> v && not (Topology.edge_alive topo ~dim:demand.d_dim u v)
-              then acc + 1
-              else acc)
-            0 members )
-    in
-    ( fault_sig,
-      List.sort compare
-        (List.filter_map
-           (fun e ->
-             let s = List.mem v e.e_srcs and d = List.mem v e.e_dsts in
-             if s || d then Some (sk e.e_size, s, d, List.length e.e_srcs, List.length e.e_dsts)
-             else None)
-           demand.entries) )
+  let entries = Array.of_list demand.entries in
+  let ne = Array.length entries in
+  (* Size keys: demands mostly repeat one size, so render each run of
+     bit-identical sizes once. *)
+  let skeys =
+    let last = ref None in
+    Array.map
+      (fun e ->
+        let bits = Int64.bits_of_float e.e_size in
+        match !last with
+        | Some (b, k) when Int64.equal b bits -> k
+        | _ ->
+            let k = sk e.e_size in
+            last := Some (bits, k);
+            k)
+      entries
   in
-  let order = Array.init np (fun i -> i) in
-  let roles = Array.init np role in
-  Array.sort (fun a b ->
-      let c = compare roles.(a) roles.(b) in
-      if c <> 0 then c else compare a b)
+  let sizes = Array.of_list (List.sort_uniq String.compare (Array.to_list skeys)) in
+  let sid_of = Hashtbl.create (Array.length sizes) in
+  Array.iteri (fun i k -> Hashtbl.replace sid_of k i) sizes;
+  let sid = Array.map (Hashtbl.find sid_of) skeys in
+  let radix =
+    1
+    + Array.fold_left
+        (fun m e -> max m (max (List.length e.e_srcs) (List.length e.e_dsts)))
+        0 entries
+  in
+  let roles = Array.make np [] and flag = Array.make np 0 in
+  Array.iteri
+    (fun i e ->
+      let ns = List.length e.e_srcs and nd = List.length e.e_dsts in
+      let mark bit v =
+        match Hashtbl.find_opt pos_of v with
+        | Some p -> flag.(p) <- flag.(p) lor bit
+        | None -> ()
+      in
+      List.iter (mark 1) e.e_srcs;
+      List.iter (mark 2) e.e_dsts;
+      let emit v =
+        match Hashtbl.find_opt pos_of v with
+        | Some p when flag.(p) <> 0 ->
+            let f = flag.(p) in
+            flag.(p) <- 0;
+            let src = f land 1 and dst = f lsr 1 in
+            let role =
+              (((((((sid.(i) * 2) + src) * 2) + dst) * radix) + ns) * radix) + nd
+            in
+            roles.(p) <- role :: roles.(p)
+        | _ -> ()
+      in
+      List.iter emit e.e_srcs;
+      List.iter emit e.e_dsts)
+    entries;
+  (* Refine positions by their fault adjacency first: a member sitting
+     next to a dead link (or itself dead) must never be aligned with a
+     pristine member of an isomorphic demand, or the transferred solution
+     would route through the hole.  Constant on healthy topologies, so the
+     canonical order there is unchanged. *)
+  let healthy = Fault.is_empty (Topology.faults topo) in
+  let fault_sig v =
+    if healthy then 0
+    else
+      (if Topology.gpu_alive topo v then np + 1 else 0)
+      + Array.fold_left
+          (fun acc u ->
+            if u <> v && not (Topology.edge_alive topo ~dim u v) then acc + 1
+            else acc)
+          0 members
+  in
+  let role_of =
+    Array.init np (fun p ->
+        let rs = Array.of_list roles.(p) in
+        Array.sort Int.compare rs;
+        Array.append [| fault_sig members.(p) |] rs)
+  in
+  let order = Array.init np Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = compare_lex role_of.(a) role_of.(b) in
+      if c <> 0 then c else Int.compare a b)
     order;
-  (* rank.(p) = canonical index of position p *)
   let rank = Array.make np 0 in
   Array.iteri (fun i p -> rank.(p) <- i) order;
-  (members, pos_of, rank, order)
-
-let class_key_with sk topo demand =
-  let members, pos_of, rank, _ = canonical_positions ~sk topo demand in
-  let canon_gpu v = rank.(Hashtbl.find pos_of v) in
-  let entry_key e =
-    ( sk e.e_size,
-      List.sort compare (List.map canon_gpu e.e_srcs),
-      List.sort compare (List.map canon_gpu e.e_dsts) )
+  let ranks l =
+    let a = Array.of_list (List.map (fun v -> rank.(Hashtbl.find pos_of v)) l) in
+    Array.sort Int.compare a;
+    a
   in
-  let keys = List.sort compare (List.map entry_key demand.entries) in
+  let ekey =
+    Array.mapi
+      (fun i e ->
+        let s = ranks e.e_srcs and d = ranks e.e_dsts in
+        let ls = Array.length s in
+        let k = Array.make (3 + ls + Array.length d) 0 in
+        k.(0) <- sid.(i);
+        Array.iteri (fun j r -> k.(1 + j) <- r + 1) s;
+        Array.iteri (fun j r -> k.(2 + ls + j) <- r + 1) d;
+        k)
+      entries
+  in
+  let perm = Array.init ne Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = compare_lex ekey.(a) ekey.(b) in
+      if c <> 0 then c else Int.compare a b)
+    perm;
+  let digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ]) in
+  let entries_key = digest (sizes, Array.map (fun i -> ekey.(i)) perm) in
   (* Canonical dead-edge set within the group: demands over groups with
      different fault patterns must land in different isomorphism classes
      (empty, hence key-neutral, on healthy topologies). *)
   let dead_edges =
-    if Fault.is_empty (Topology.faults topo) then []
+    if healthy then []
     else begin
       let acc = ref [] in
       Array.iteri
         (fun i u ->
           Array.iteri
             (fun j v ->
-              if
-                i < j
-                && not (Topology.edge_alive topo ~dim:demand.d_dim u v)
-              then
-                acc :=
-                  (min rank.(i) rank.(j), max rank.(i) rank.(j)) :: !acc)
+              if i < j && not (Topology.edge_alive topo ~dim u v) then
+                acc := (min rank.(i) rank.(j), max rank.(i) rank.(j)) :: !acc)
             members)
         members;
       List.sort compare !acc
     end
   in
-  Marshal.to_string (demand.d_dim, Array.length members, keys, dead_edges) []
+  let key = digest (dim, np, entries_key, dead_edges) in
+  { members; rank; order; perm; entries_key; key }
 
-let class_key topo demand = class_key_with size_key topo demand
-
-let norm_class_key topo demand =
-  class_key_with (rel_key (max_entry_size demand)) topo demand
+let class_key topo demand = (canon topo demand).key
 
 let strategy_signature = function
   | Fast_only -> "fast"
@@ -255,45 +350,50 @@ let metas_of_demand demand =
        demand.entries)
 
 (* Causal check per entry: following the entry's transfers from its source
-   set must deliver every destination, each exactly once. *)
+   set must deliver every destination, each exactly once, and stay inside
+   the demand's group and dimension on live links.  Transfers are bucketed
+   by local chunk id once; the verdict does not depend on transfer order
+   (a transfer fires once its source holds the data, and every transfer
+   must fire), so each bucket is walked in whatever order it was built. *)
 let verify topo demand xfers =
-  let ok = ref true in
-  List.iteri
-    (fun i e ->
-      let mine = List.filter (fun (x : Schedule.xfer) -> x.chunk = i) xfers in
-      let holders = Hashtbl.create 8 in
-      List.iter (fun v -> Hashtbl.replace holders v ()) e.e_srcs;
-      let received = Hashtbl.create 8 in
-      let remaining = ref mine and progress = ref true in
-      while !progress do
-        progress := false;
-        let still = ref [] in
-        List.iter
+  let entries = Array.of_list demand.entries in
+  let ne = Array.length entries in
+  let mine = Array.make ne [] in
+  List.iter
+    (fun (x : Schedule.xfer) ->
+      if x.chunk >= 0 && x.chunk < ne then mine.(x.chunk) <- x :: mine.(x.chunk))
+    xfers;
+  (* held.(v) = i: GPU v holds entry i's data. *)
+  let held = Array.make (Topology.num_gpus topo) (-1) in
+  let entry_ok i e =
+    List.iter (fun v -> held.(v) <- i) e.e_srcs;
+    let dup = ref false and progress = ref true and remaining = ref mine.(i) in
+    while !progress && !remaining <> [] do
+      progress := false;
+      remaining :=
+        List.filter
           (fun (x : Schedule.xfer) ->
-            if Hashtbl.mem holders x.src then begin
-              if Hashtbl.mem received x.dst || Hashtbl.mem holders x.dst then ok := false;
-              Hashtbl.replace holders x.dst ();
-              Hashtbl.replace received x.dst ();
-              progress := true
+            if held.(x.src) = i then begin
+              if held.(x.dst) = i then dup := true;
+              held.(x.dst) <- i;
+              progress := true;
+              false
             end
-            else still := x :: !still)
-          !remaining;
-        remaining := !still
-      done;
-      if !remaining <> [] then ok := false;
-      List.iter (fun v -> if not (Hashtbl.mem holders v) then ok := false) e.e_dsts;
-      (* Transfers must stay inside the demand's group/dimension. *)
-      List.iter
-        (fun (x : Schedule.xfer) ->
-          if
-            x.dim <> demand.d_dim
-            || Topology.group_of topo ~dim:x.dim x.src <> demand.d_group
-            || Topology.group_of topo ~dim:x.dim x.dst <> demand.d_group
-            || not (Topology.edge_alive topo ~dim:x.dim x.src x.dst)
-          then ok := false)
-        mine)
-    demand.entries;
-  !ok
+            else true)
+          !remaining
+    done;
+    (not !dup) && !remaining = []
+    && List.for_all (fun v -> held.(v) = i) e.e_dsts
+    && List.for_all
+         (fun (x : Schedule.xfer) ->
+           x.dim = demand.d_dim
+           && Topology.group_of topo ~dim:x.dim x.src = demand.d_group
+           && Topology.group_of topo ~dim:x.dim x.dst = demand.d_group
+           && Topology.edge_alive topo ~dim:x.dim x.src x.dst)
+         mine.(i)
+  in
+  let rec go i = i = ne || (entry_ok i entries.(i) && go (i + 1)) in
+  go 0
 
 (* Whether a transfer list stays on surviving hardware; trivially true on a
    healthy topology. *)
@@ -507,16 +607,14 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool ?cache
               greedy
             end
             else begin
-              (* Scope warm-basis sharing to this demand's isomorphism
-                 class: representatives of distinct classes write distinct
-                 keys even when their models coincidentally have the same
-                 shape, which keeps concurrent class solves deterministic
-                 (see Epoch_model.solve). *)
-              let cache_tag =
-                match cache with
-                | None -> None
-                | Some _ -> Some (class_key topo demand)
-              in
+              (* Warm-basis sharing is scoped to the demand's isomorphism
+                 class (the tag paired with the cache): representatives of
+                 distinct classes write distinct keys even when their
+                 models coincidentally have the same shape, which keeps
+                 concurrent class solves deterministic (see
+                 Epoch_model.solve). *)
+              let cache_tag = Option.map snd cache in
+              let cache = Option.map fst cache in
               match
                 Epoch_model.solve ~node_limit ~time_limit ~budget ?pool
                   ?cache ?cache_tag ~incumbent:greedy spec
@@ -538,69 +636,70 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool ?cache
 
 (* --- Mapping representatives onto isomorphic demands ------------------ *)
 
-let transfer ?(normalized = false) topo ~rep ~rep_xfers demand =
+type mapping =
+  | Identity of Schedule.xfer list
+  | Mapped of Schedule.xfer list
+  | Unmapped
+
+let transfer ?(normalized = false) ?rc ?dc topo ~rep ~rep_xfers demand =
+  Atomic.incr c_transfers;
   if
     rep.d_dim = demand.d_dim && rep.d_group = demand.d_group
     && rep.entries = demand.entries
   then
     (* Identity mapping: the solution was produced (or already verified)
        for these exact entries in the same group of the same dimension, so
-       re-verification — a full simulation — is redundant.  This is the
-       common case for the representative's own member and for repeated
-       solves of the same problem.  Structurally equal entries under a
-       different dim/group must take the general (verified) path: the
-       rep's xfers carry its own dim. *)
-    Some rep_xfers
+       re-verification is redundant.  This is the common case for the
+       representative's own member and for repeated solves of the same
+       problem.  Structurally equal entries under a different dim/group
+       must take the general (verified) path: the rep's xfers carry its
+       own dim. *)
+    Identity rep_xfers
   else
-  (* Cross-size hits use relative size keys (each demand normalized by its
-     own largest entry); same-size mapping keeps exact absolute keys. *)
-  let sk_rep = if normalized then rel_key (max_entry_size rep) else size_key in
-  let sk_dem = if normalized then rel_key (max_entry_size demand) else size_key in
-  let rep_members, rep_pos, rep_rank, _ = canonical_positions ~sk:sk_rep topo rep in
-  let dem_members, _, _, dem_order = canonical_positions ~sk:sk_dem topo demand in
-  if Array.length rep_members <> Array.length dem_members then None
-  else
-  (* rep GPU -> canonical rank -> demand GPU. *)
-  let gpu_map v = dem_members.(dem_order.(rep_rank.(Hashtbl.find rep_pos v))) in
-  (* Entry correspondence: sort both entry lists by canonical key. *)
-  let entry_keyed sk d rank_of pos_of =
-    List.mapi
-      (fun i e ->
-        let canon v = rank_of.(Hashtbl.find pos_of v) in
-        ( ( sk e.e_size,
-            List.sort compare (List.map canon e.e_srcs),
-            List.sort compare (List.map canon e.e_dsts) ),
-          i ))
-      d.entries
-    |> List.sort compare
-  in
-  let _, dem_pos, dem_rank, _ = canonical_positions ~sk:sk_dem topo demand in
-  let rep_entries = entry_keyed sk_rep rep rep_rank rep_pos in
-  let dem_entries = entry_keyed sk_dem demand dem_rank dem_pos in
-  if List.map fst rep_entries <> List.map fst dem_entries then None
-  else begin
-    let chunk_map = Hashtbl.create 16 in
-    List.iter2
-      (fun (_, ri) (_, di) -> Hashtbl.replace chunk_map ri di)
-      rep_entries dem_entries;
-    (* A widened rep solution (disconnected faulted group, see
-       [solve_demand]) may relay through GPUs outside the group; those have
-       no canonical position, so the mapping is undefined — decline the
-       transfer and let the caller solve the member directly. *)
-    match
-      List.map
-        (fun (x : Schedule.xfer) ->
-          {
-            x with
-            chunk = Hashtbl.find chunk_map x.chunk;
-            src = gpu_map x.src;
-            dst = gpu_map x.dst;
-          })
-        rep_xfers
-    with
-    | exception Not_found -> None
-    | mapped -> if verify topo demand mapped then Some mapped else None
-  end
+    (* Cross-size hits use relative size keys (each demand normalized by
+       its own largest entry); same-size mapping keeps exact absolute
+       keys.  Forms passed in must be of the matching flavour. *)
+    let form c d = match c with Some c -> c | None -> canon ~normalized topo d in
+    let rc = form rc rep and dc = form dc demand in
+    let np = Array.length rc.members and ne = Array.length rc.perm in
+    let mapped =
+      if np <> Array.length dc.members || rc.entries_key <> dc.entries_key then
+        None
+      else begin
+        (* rep GPU -> canonical rank -> demand GPU; entries correspond
+           through their canonical orders. *)
+        let gpu_map = Hashtbl.create np in
+        Array.iteri
+          (fun p v -> Hashtbl.replace gpu_map v dc.members.(dc.order.(rc.rank.(p))))
+          rc.members;
+        let chunk_map = Array.make ne 0 in
+        Array.iteri (fun k ri -> chunk_map.(ri) <- dc.perm.(k)) rc.perm;
+        (* A widened rep solution (disconnected faulted group, see
+           [solve_demand]) may relay through GPUs outside the group; those
+           have no canonical position, so the mapping is undefined —
+           decline the transfer and let the caller solve the member
+           directly. *)
+        match
+          List.map
+            (fun (x : Schedule.xfer) ->
+              if x.chunk < 0 || x.chunk >= ne then raise Not_found;
+              {
+                x with
+                chunk = chunk_map.(x.chunk);
+                src = Hashtbl.find gpu_map x.src;
+                dst = Hashtbl.find gpu_map x.dst;
+              })
+            rep_xfers
+        with
+        | exception Not_found -> None
+        | mapped -> if verify topo demand mapped then Some mapped else None
+      end
+    in
+    match mapped with
+    | Some xfers -> Mapped xfers
+    | None ->
+        Atomic.incr c_transfer_fail;
+        Unmapped
 
 let assemble plan ~solution =
   let xfers =

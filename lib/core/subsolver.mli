@@ -41,15 +41,31 @@ val plan :
     single-phase collective (reduce-family phases are planned as their dual
     gather problem; the caller reverses the assembled schedule). *)
 
-val class_key : Syccl_topology.Topology.t -> demand -> string
-(** Canonical isomorphism-class key: demands with equal keys are solved once
-    (§5.3). *)
+type canon
+(** A demand's canonical form, computed once and reused for classification,
+    lookup and mapping: its group members, the position→rank map and the
+    canonical position order, the permutation putting its entries in
+    canonical order, and its class key.  Compact (int arrays and two
+    16-byte digests), so keeping one per distinct demand costs little. *)
 
-val norm_class_key : Syccl_topology.Topology.t -> demand -> string
-(** Size-normalized class key: entry sizes enter as ratios of the demand's
-    largest entry, so demands that differ only by a uniform chunk-size
-    scale share a key.  Used (together with a size bucket and strategy
-    signature) by the cross-size sub-solve memoization. *)
+val canon : ?normalized:bool -> Syccl_topology.Topology.t -> demand -> canon
+(** Canonicalize in one pass over the entries.  Positions are ordered by
+    fault adjacency, then by their sorted multiset of roles (size key,
+    source?, destination?, #sources, #destinations), ties by raw position;
+    entries by (size key, sorted source ranks, sorted destination ranks),
+    ties by entry index.  Size keys are absolute, or with [~normalized:true]
+    ratios of the demand's largest entry, so demands that differ only by
+    a uniform chunk-size scale share a normalized key (the cross-size
+    sub-solve memo uses it).  Bumps [subsolve.canon]. *)
+
+val key : canon -> string
+(** The class key: equal for demands of one isomorphism class (same
+    dimension, group size, canonical entry keys and canonical dead-edge
+    set). *)
+
+val class_key : Syccl_topology.Topology.t -> demand -> string
+(** [key (canon topo demand)]: demands with equal keys are solved once
+    (§5.3). *)
 
 val strategy_signature : strategy -> string
 (** Stable textual fingerprint of a strategy, for cache keys. *)
@@ -58,7 +74,7 @@ val solve_demand :
   ?warm:Syccl_sim.Schedule.xfer list ->
   ?budget:Syccl_util.Budget.t ->
   ?pool:Syccl_util.Pool.t ->
-  ?cache:(string, Syccl_milp.Lp.basis_state) Syccl_util.Cache.t ->
+  ?cache:(string, Syccl_milp.Lp.basis_state) Syccl_util.Cache.t * string ->
   strategy ->
   Syccl_topology.Topology.t ->
   demand ->
@@ -68,7 +84,8 @@ val solve_demand :
     incumbent before MILP refinement (the fine step warm-starts from the
     coarse step's solution this way).  [pool] parallelizes MILP node waves
     and [cache] carries warm-start bases across the sketch family's
-    same-shaped sibling demands (both forwarded to
+    same-shaped sibling demands, paired with the tag that scopes this
+    demand's entries in it, normally its {!class_key} (both forwarded to
     {!Syccl_teccl.Epoch_model.solve}); pass one cache per sequential solve
     sequence — it is not safe to share across concurrent solves.
 
@@ -93,21 +110,40 @@ val no_worse_than_direct :
     direct baseline, so cache warmth can never regress schedule quality
     below it. *)
 
+val verify :
+  Syccl_topology.Topology.t -> demand -> Syccl_sim.Schedule.xfer list -> bool
+(** Causal check of a solution (local chunk ids): every entry's transfers,
+    followed from its sources, deliver each destination exactly once and
+    fire all, inside the demand's group and dimension, on live links. *)
+
+type mapping =
+  | Identity of Syccl_sim.Schedule.xfer list
+      (** same dim, group and entries: the representative's own xfers,
+          not re-verified *)
+  | Mapped of Syccl_sim.Schedule.xfer list  (** relabelled and verified *)
+  | Unmapped  (** alignment or verification failed *)
+
 val transfer :
   ?normalized:bool ->
+  ?rc:canon ->
+  ?dc:canon ->
   Syccl_topology.Topology.t ->
   rep:demand ->
   rep_xfers:Syccl_sim.Schedule.xfer list ->
   demand ->
-  Syccl_sim.Schedule.xfer list option
-(** Map a representative's solution onto an isomorphic demand; [None] if the
-    mapped solution fails verification.  When the two demands live in the
-    same group of the same dimension and have structurally equal entries
-    the mapping is the identity and the (simulation-based) verification is
-    skipped; equal entries under a different dim/group take the general,
-    verified path.  With [~normalized:true] entry sizes are matched as
-    ratios (each demand scaled by its own largest entry), enabling
-    cross-size mapping of memoized solutions. *)
+  mapping
+(** Map a representative's solution onto an isomorphic demand.  When the
+    two demands live in the same group of the same dimension and have
+    structurally equal entries the mapping is the identity and the
+    verification is skipped; equal entries under a different dim/group
+    take the general, verified path.  Otherwise GPUs map through the two
+    canonical position orders and entries through the two canonical entry
+    orders, and the result is {!verify}'d.  [rc] and [dc] are the forms of
+    [rep] and [demand] if already known (computed here otherwise); with
+    [~normalized:true] they must be normalized forms, and entry sizes are
+    matched as ratios (each demand scaled by its own largest entry),
+    enabling cross-size mapping of memoized solutions.  Bumps
+    [subsolve.transfers], and [subsolve.transfer_fail] on [Unmapped]. *)
 
 val assemble :
   plan ->

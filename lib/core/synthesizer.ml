@@ -119,8 +119,12 @@ let timed f =
    representatives keyed by size-normalized class key, strategy signature
    and a power-of-two chunk-size bucket.  Hits skip Subsolver.solve_demand
    entirely — across combos, across the coarse/fine steps and across sweep
-   sizes whose epoch structure is size-independent. *)
-let subsolve_cache : (string, Subsolver.demand * Schedule.xfer list) Cache.t =
+   sizes whose epoch structure is size-independent.  Each entry keeps the
+   representative's normalized canonical form, so a hit maps without
+   canonicalizing it again. *)
+type memo_entry = Subsolver.demand * Subsolver.canon * Schedule.xfer list
+
+let subsolve_cache : (string, memo_entry) Cache.t =
   Cache.create ~capacity:4096 ~name:"cache.subsolve" ()
 
 let size_bucket (d : Subsolver.demand) =
@@ -132,11 +136,10 @@ let size_bucket (d : Subsolver.demand) =
   if m <= 0.0 then 0
   else int_of_float (Float.floor ((Float.log m /. Float.log 2.0) +. 1e-9))
 
-let memo_key strategy topo d =
+let memo_key strategy topo d norm =
   Printf.sprintf "%s/%d/%s/%d/%s" topo.Topology.name (Topology.num_gpus topo)
     (Subsolver.strategy_signature strategy)
-    (size_bucket d)
-    (Subsolver.norm_class_key topo d)
+    (size_bucket d) (Subsolver.key norm)
 
 (* A view of the sub-solve memo.  [live_memo] reads and writes the shared
    bounded cache directly; [synthesize_all] gives each sweep element a
@@ -144,8 +147,8 @@ let memo_key strategy topo d =
    cache state at sweep start — never on sibling elements' mid-flight
    insertions (see [synthesize_all]). *)
 type memo_view = {
-  memo_find : string -> (Subsolver.demand * Schedule.xfer list) option;
-  memo_put : string -> Subsolver.demand * Schedule.xfer list -> unit;
+  memo_find : string -> memo_entry option;
+  memo_put : string -> memo_entry -> unit;
 }
 
 let live_memo =
@@ -154,8 +157,33 @@ let live_memo =
     memo_put = (fun k v -> Cache.put subsolve_cache k v);
   }
 
+(* Structural hash table of demands: plans of one call share many
+   structurally equal demands (combos repeat sketches), and each distinct
+   one is canonicalized once. *)
+module Demand_tbl = Hashtbl.Make (struct
+  type t = Subsolver.demand
+
+  let equal = ( = )
+
+  let hash (d : Subsolver.demand) =
+    List.fold_left
+      (fun h (e : Subsolver.entry) ->
+        let h = (h * 31) + e.Subsolver.chunk in
+        let h = (h * 31) + Hashtbl.hash e.Subsolver.e_size in
+        let h = List.fold_left (fun h v -> (h * 31) + v) h e.Subsolver.e_srcs in
+        List.fold_left (fun h v -> (h * 37) + v) h e.Subsolver.e_dsts)
+      ((d.Subsolver.d_stage * 65599) + (d.Subsolver.d_dim * 257) + d.Subsolver.d_group)
+      d.Subsolver.entries
+    land max_int
+end)
+
 (* Solve representatives of every isomorphism class appearing in [plans],
    in parallel on the pool, and return a per-demand solution function.
+   Every distinct demand is canonicalized once, while classifying; the
+   returned lookup reuses that form to find its class and to map the
+   representative's solution, so the symmetry mapping costs one
+   canonicalization per distinct demand (plus one normalized form per
+   class for the memo).  Classes are visited in order of first appearance.
    The memo probe runs sequentially before dispatch and insertions happen
    after every solve returns, so which classes hit the cache — and hence
    the produced schedules — cannot depend on pool size or scheduling. *)
@@ -168,44 +196,48 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
   let milp_warm : (string, Syccl_milp.Lp.basis_state) Cache.t =
     Cache.create ~capacity:64 ~name:"cache.milp_warm" ()
   in
-  let classes = Hashtbl.create 64 in
+  let forms = Demand_tbl.create 256 in
+  (* class key -> index into [reps] *)
+  let classes = Hashtbl.create 64 and firsts = ref [] and nclass = ref 0 in
   List.iter
     (fun (p : Subsolver.plan) ->
       List.iter
         (fun d ->
-          let key = Subsolver.class_key topo d in
-          if not (Hashtbl.mem classes key) then Hashtbl.replace classes key d)
+          if not (Demand_tbl.mem forms d) then begin
+            let c = Subsolver.canon topo d in
+            Demand_tbl.add forms d c;
+            let k = Subsolver.key c in
+            if not (Hashtbl.mem classes k) then begin
+              Hashtbl.replace classes k !nclass;
+              incr nclass;
+              firsts := (d, c) :: !firsts
+            end
+          end)
         p.Subsolver.demands)
     plans;
-  let keys = Array.of_seq (Hashtbl.to_seq_keys classes) in
-  let reps = Array.map (Hashtbl.find classes) keys in
-  let nclass = Array.length reps in
-  let mkeys = Array.map (memo_key strategy topo) reps in
+  let reps = Array.of_list (List.rev !firsts) and nclass = !nclass in
+  let norms = Array.map (fun (d, _) -> Subsolver.canon ~normalized:true topo d) reps in
+  let mkeys = Array.mapi (fun i (d, _) -> memo_key strategy topo d norms.(i)) reps in
   let sols = Array.make nclass None in
   Array.iteri
-    (fun i rep ->
+    (fun i (rep, _) ->
       match memo.memo_find mkeys.(i) with
-      | Some (crep, cxfers) -> (
+      | Some (crep, cnorm, cxfers) -> (
           match
-            Subsolver.transfer ~normalized:true topo ~rep:crep
-              ~rep_xfers:cxfers rep
+            Subsolver.transfer ~normalized:true ~rc:cnorm ~dc:norms.(i) topo
+              ~rep:crep ~rep_xfers:cxfers rep
           with
-          | Some xfers ->
-              (* An identity hit returns the xfers solved for these exact
-                 entries; anything else is a cross-size/cross-group mapping
-                 whose quality is only bounded by the direct-baseline
-                 guard — a cached solution refined for a different chunk
-                 size may be valid yet slower than solving here, so reuse
-                 it only when it at least matches the direct candidate. *)
-              let identical =
-                crep.Subsolver.d_dim = rep.Subsolver.d_dim
-                && crep.Subsolver.d_group = rep.Subsolver.d_group
-                && crep.Subsolver.entries = rep.Subsolver.entries
-              in
-              if identical || Subsolver.no_worse_than_direct topo rep xfers
-              then sols.(i) <- Some xfers
+          | Subsolver.Identity xfers -> sols.(i) <- Some xfers
+          | Subsolver.Mapped xfers ->
+              (* A cross-size/cross-group mapping's quality is only bounded
+                 by the direct-baseline guard — a cached solution refined
+                 for a different chunk size may be valid yet slower than
+                 solving here, so reuse it only when it at least matches
+                 the direct candidate. *)
+              if Subsolver.no_worse_than_direct topo rep xfers then
+                sols.(i) <- Some xfers
               else Counters.bump "cache.subsolve.quality_fail"
-          | None -> Counters.bump "cache.subsolve.transfer_fail")
+          | Subsolver.Unmapped -> Counters.bump "cache.subsolve.transfer_fail")
       | None -> ())
     reps;
   let todo =
@@ -215,15 +247,15 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
   let solved =
     Pool.map pool
       (fun i ->
-        let rep = reps.(i) in
+        let rep, c = reps.(i) in
         let w = match warm with None -> None | Some f -> f rep in
         (* Each solve gets a detached view of the element's budget (same
            deadline, own degradation mark) so we can tell, per class, whether
            the deadline forced a degraded solution. *)
         let b = Budget.detach budget in
         let xfers =
-          Subsolver.solve_demand ?warm:w ~budget:b ~pool ~cache:milp_warm
-            strategy topo rep
+          Subsolver.solve_demand ?warm:w ~budget:b ~pool
+            ~cache:(milp_warm, Subsolver.key c) strategy topo rep
         in
         if Budget.degraded b then Budget.mark_degraded budget;
         (xfers, Budget.degraded b))
@@ -236,21 +268,29 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
       (* A deadline-degraded sub-solve (skipped MILP, greedy cut short)
          must not be memoized: the memo outlives the deadline and would
          replay the degraded solution into later unconstrained runs. *)
-      if not was_degraded then memo.memo_put mkeys.(i) (reps.(i), xfers))
+      if not was_degraded then
+        memo.memo_put mkeys.(i) (fst reps.(i), norms.(i), xfers))
     todo;
-  let table = Hashtbl.create nclass in
-  Array.iteri (fun i k -> Hashtbl.replace table k (reps.(i), Option.get sols.(i))) keys;
+  (* Read-only from here on: the lookup runs concurrently on the pool. *)
   fun (d : Subsolver.demand) ->
-    let key = Subsolver.class_key topo d in
-    match Hashtbl.find_opt table key with
-    | Some (rep, rep_xfers) -> (
-        match Subsolver.transfer topo ~rep ~rep_xfers d with
-        | Some xfers ->
-            xfers
-        | None ->
-            Subsolver.solve_demand ~budget ~pool ~cache:milp_warm strategy
-              topo d)
-    | None -> Subsolver.solve_demand ~budget ~pool ~cache:milp_warm strategy topo d
+    let c =
+      match Demand_tbl.find_opt forms d with
+      | Some c -> c
+      | None -> Subsolver.canon topo d
+    in
+    let direct () =
+      Subsolver.solve_demand ~budget ~pool
+        ~cache:(milp_warm, Subsolver.key c) strategy topo d
+    in
+    match Hashtbl.find_opt classes (Subsolver.key c) with
+    | Some i -> (
+        let rep, rc = reps.(i) in
+        match
+          Subsolver.transfer ~rc ~dc:c topo ~rep ~rep_xfers:(Option.get sols.(i)) d
+        with
+        | Subsolver.Identity xfers | Subsolver.Mapped xfers -> xfers
+        | Subsolver.Unmapped -> direct ())
+    | None -> direct ()
 
 let strategy_of cfg ~e =
   if cfg.fast_only then Subsolver.Fast_only
@@ -543,6 +583,13 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
             r)
   in
   let plans = List.map (fun c -> (c, Subsolver.plan topo phase c)) combos in
+  (* One candidate schedule from per-demand solutions: the symmetry
+     mapping of every demand of the plan happens here. *)
+  let assemble p ~solution =
+    Trace.with_span ~cat:"stage" "synth.assemble" @@ fun () ->
+    let s = Subsolver.assemble p ~solution in
+    if mirrored then mirror s else s
+  in
   (* Step 1: fast solving of every combination, then filtering (§5.3). *)
   let (step1, solution1), solve1_s =
     timed (fun () ->
@@ -571,8 +618,7 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
         let assembled =
           Pool.map pool
             (fun (c, p) ->
-              let s = Subsolver.assemble p ~solution in
-              let s = if mirrored then mirror s else s in
+              let s = assemble p ~solution in
               (c, p, s, Sim.lower_bound ~blocks:screen_blocks topo s))
             (Array.of_list plans)
         in
@@ -620,8 +666,7 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
           in
           List.map
             (fun (c, p, s1, _) ->
-              let s2 = Subsolver.assemble p ~solution in
-              let s2 = if mirrored then mirror s2 else s2 in
+              let s2 = assemble p ~solution in
               let t1 = Sim.time ~blocks:(fidelity_blocks s1) topo s1 in
               (* Refinement often returns the coarse schedule unchanged; the
                  simulator is deterministic, so it would only re-derive t1. *)

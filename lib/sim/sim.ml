@@ -102,7 +102,11 @@ let port_groups topo =
       0
       (List.init (Topology.num_dims topo) Fun.id)
 
-let simulate ~blocks ?trace_pid topo (s : Schedule.t) =
+(* Timeline export state: the trace pid, the events still allowed, and the
+   events cut once none are. *)
+type timeline = { pid : int; mutable room : int; mutable cut : int }
+
+let simulate ~blocks ?timeline topo (s : Schedule.t) =
   let xa = Array.of_list s.xfers in
   let nx = Array.length xa in
   let nc = Array.length s.chunks in
@@ -299,9 +303,7 @@ let simulate ~blocks ?trace_pid topo (s : Schedule.t) =
      time), so the schedule renders as a link-occupancy Gantt chart in
      Perfetto.  Tracks are numbered by port id and named on first use. *)
   let tracing =
-    match trace_pid with
-    | Some pid when Trace.enabled () -> Some pid
-    | _ -> None
+    match timeline with Some t when Trace.enabled () -> Some t | _ -> None
   in
   let port_seen = Array.make nports false in
   let mark_port pid p =
@@ -378,7 +380,14 @@ let simulate ~blocks ?trace_pid topo (s : Schedule.t) =
         free.(i) <- a +. busy.(xid);
         (match tracing with
         | None -> ()
-        | Some pid -> trace_block pid xid block ~start:a);
+        | Some t ->
+            (* A block's egress and ingress spans go in together or not
+               at all. *)
+            if t.room >= 2 then begin
+              t.room <- t.room - 2;
+              trace_block t.pid xid block ~start:a
+            end
+            else t.cut <- t.cut + 2);
         on_arrival xid block (a +. latency.(xid));
         promote e;
         promote i
@@ -399,14 +408,21 @@ let simulate ~blocks ?trace_pid topo (s : Schedule.t) =
     xa;
   { time = !makespan; events = !events; xfer_finish }
 
-let run ?(blocks = 8) ?trace_pid topo s =
+let run_with ?(blocks = 8) ?timeline topo s =
   Syccl_util.Faultpoint.inject "sim.crash";
   Atomic.incr c_runs;
   Trace.with_span ~cat:"sim" "sim.run" @@ fun () ->
   let t0 = Clock.now () in
   Fun.protect
     ~finally:(fun () -> Counters.record h_run_s (Clock.elapsed t0))
-    (fun () -> simulate ~blocks ?trace_pid topo s)
+    (fun () -> simulate ~blocks ?timeline topo s)
+
+let run ?blocks topo s = run_with ?blocks topo s
+
+let timeline ?blocks ~pid ?(limit = max_int) topo s =
+  let t = { pid; room = limit; cut = 0 } in
+  let r = run_with ?blocks ~timeline:t topo s in
+  (r, t.cut)
 
 let time ?blocks topo s = (run ?blocks topo s).time
 

@@ -16,19 +16,11 @@ type report = {
 }
 
 val run :
-  ?blocks:int -> ?trace_pid:int -> Syccl_topology.Topology.t -> Schedule.t ->
-  report
+  ?blocks:int -> Syccl_topology.Topology.t -> Schedule.t -> report
 (** Simulate.  [blocks] defaults to 8; it is clamped so blocks are at least
     one byte.  Raises [Invalid_argument] if a transfer references a missing
     chunk or its endpoints are not peers in its dimension, and [Failure] if
     the schedule deadlocks (a transfer's data dependency never resolves).
-
-    With [trace_pid] (and {!Syccl_util.Trace.enabled}), every executed
-    block is exported as a virtual-time span on a per-(GPU, port group,
-    direction) track under that trace pid — one track per active port,
-    numbered and named ["gpu<g> pg<p> out|in"] — so the schedule renders
-    as a link-occupancy Gantt chart in Perfetto.  Use a distinct pid per
-    simulated schedule (e.g. per phase) to keep timelines separate.
 
     The ["sim.crash"] {!Syccl_util.Faultpoint} probe fires at entry, for
     testing that callers tolerate simulator failures.
@@ -37,6 +29,22 @@ val run :
     to [sim.events] and its queue pops to [sim.pops] (deterministic work
     counts), records its wall time in the [sim.run_s] histogram and opens
     one [sim.run] trace span. *)
+
+val timeline :
+  ?blocks:int -> pid:int -> ?limit:int -> Syccl_topology.Topology.t ->
+  Schedule.t -> report * int
+(** {!run}, and (when {!Syccl_util.Trace.enabled}) every executed block
+    exported as a virtual-time span on a per-(GPU, port group, direction)
+    track under trace pid [pid] — one track per active port, numbered and
+    named ["gpu<g> pg<p> out|in"] — so the schedule renders as a
+    link-occupancy Gantt chart in Perfetto.  Use a distinct pid per
+    simulated schedule (e.g. per phase) to keep timelines separate.
+
+    At most [limit] (default unbounded) timeline events are emitted: each
+    block's egress and ingress spans go in together, in execution order,
+    until the limit is reached.  Also returns the number of events cut.
+    Pass {!Syccl_util.Trace.free_slots} less one (the run's own [sim.run]
+    span) to keep the timeline from evicting earlier events. *)
 
 val time : ?blocks:int -> Syccl_topology.Topology.t -> Schedule.t -> float
 (** [time topo s] = [(run topo s).time]. *)

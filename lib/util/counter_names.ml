@@ -44,7 +44,10 @@ let exact =
     "cache.subsolve.quality_fail";
     "cache.subsolve.transfer_fail";
     "subsolve.budget_skips";
+    "subsolve.canon";
     "subsolve.solve_s";
+    "subsolve.transfer_fail";
+    "subsolve.transfers";
     "subsolve.widened";
     "synth.calls";
     "synth.combine_s";

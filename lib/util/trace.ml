@@ -86,6 +86,13 @@ let enable ?capacity () =
   Atomic.set epoch (Clock.now ());
   Atomic.set enabled_flag true
 
+let free_slots () =
+  let cap r = Array.length r.buf in
+  match !(Domain.DLS.get ring_key) with
+  | None -> max 16 (Atomic.get default_capacity)
+  | Some r when r.gen <> Atomic.get generation -> cap r
+  | Some r -> max 0 (cap r - r.written)
+
 let disable () = Atomic.set enabled_flag false
 let now () = Clock.now () -. Atomic.get epoch
 let dropped () = Atomic.get dropped_count

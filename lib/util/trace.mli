@@ -46,6 +46,12 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
+val free_slots : unit -> int
+(** Events the calling domain's ring still takes before it wraps and
+    starts overwriting its oldest events.  Bulk emitters (a simulator
+    timeline pushed after synthesis) cap themselves at this so they never
+    evict the spans recorded before them. *)
+
 val clear : unit -> unit
 (** Drop all recorded events and reset {!dropped} without toggling the
     enabled flag. *)

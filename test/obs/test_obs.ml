@@ -420,7 +420,7 @@ let test_sim_trace_tracks () =
       Hashtbl.replace expected ((2 * ((x.Schedule.dst * npg) + pg)) + 1) ())
     sched.Schedule.xfers;
   Trace.enable ();
-  let report = Sim.run ~trace_pid:Trace.sim_pid topo sched in
+  let report, _ = Sim.timeline ~pid:Trace.sim_pid topo sched in
   Trace.disable ();
   Alcotest.(check bool) "simulated" true (report.Sim.time > 0.0);
   let sim_spans =
@@ -468,6 +468,43 @@ let test_sim_trace_tracks () =
   in
   Alcotest.(check bool) "timeline reaches makespan" true
     (Float.abs (last -. report.Sim.time) <= 0.5 *. report.Sim.time)
+
+(* A timeline pushed after synthesis into a nearly full ring must stop at
+   the ring's free slots: the spans recorded before it survive, nothing is
+   overwritten, and the cut events are counted (two per executed block). *)
+let test_timeline_capped_at_free_slots () =
+  let topo = Builders.h800_scaled ~servers:1 ~gpus_per_server:8 in
+  let coll = C.make C.AllGather ~n:8 ~size:1.048576e6 in
+  let sched = Syccl_baselines.Ring.allgather topo coll in
+  let blocks = (Sim.run topo sched).Sim.events in
+  Trace.enable ~capacity:64 ();
+  (* A fresh domain gets a fresh ring at the current capacity. *)
+  let cut =
+    Domain.join
+      (Domain.spawn (fun () ->
+           for i = 0 to 9 do
+             Trace.with_span (Printf.sprintf "synth.%d" i) ignore
+           done;
+           snd
+             (Sim.timeline ~pid:Trace.sim_pid ~limit:(Trace.free_slots () - 1)
+                topo sched)))
+  in
+  Trace.disable ();
+  let events = Trace.events () in
+  let timeline =
+    List.filter (fun (e : Trace.event) -> e.Trace.pid = Trace.sim_pid) events
+  in
+  check Alcotest.int "nothing overwritten" 0 (Trace.dropped ());
+  check Alcotest.int "every synthesis span kept" 10
+    (List.length
+       (List.filter
+          (fun (e : Trace.event) -> String.starts_with ~prefix:"synth." e.Trace.name)
+          events));
+  check Alcotest.int "ring filled up to its free slots" 52 (List.length timeline);
+  check Alcotest.int "every block's two spans emitted or cut" (2 * blocks)
+    (List.length timeline + cut);
+  Trace.enable ~capacity:65536 ();
+  Trace.disable ()
 
 (* --- Counters.reset quiescence contract -------------------------------- *)
 
@@ -525,6 +562,8 @@ let () =
           Alcotest.test_case "ring wrap drops oldest" `Quick test_ring_wrap_drops;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing;
+          Alcotest.test_case "timeline capped at free slots" `Quick
+            test_timeline_capped_at_free_slots;
         ] );
       ( "histograms",
         [

@@ -132,7 +132,7 @@ let test_transfer_rejects_mismatched () =
   let other = mk [ 0 ] [ 1; 2; 3; 4 ] in
   let rep_xfers = Subsolver.solve_demand Subsolver.Fast_only topo rep in
   check Alcotest.bool "mismatched shapes rejected" true
-    (Subsolver.transfer topo ~rep ~rep_xfers other = None)
+    (Subsolver.transfer topo ~rep ~rep_xfers other = Subsolver.Unmapped)
 
 let suite =
   [

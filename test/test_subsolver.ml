@@ -106,8 +106,9 @@ let test_transfer_maps_solution () =
   | Some (rep, other) -> (
       let rep_xfers = Subsolver.solve_demand Subsolver.Fast_only topo rep in
       match Subsolver.transfer topo ~rep ~rep_xfers other with
-      | None -> Alcotest.fail "transfer should verify"
-      | Some xfers ->
+      | Subsolver.Unmapped -> Alcotest.fail "transfer should verify"
+      | Subsolver.Identity _ -> Alcotest.fail "distinct demands mapped as identity"
+      | Subsolver.Mapped xfers ->
           check Alcotest.int "same transfer count" (List.length rep_xfers)
             (List.length xfers))
 
