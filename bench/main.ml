@@ -7,7 +7,9 @@
      dune exec bench/main.exe -- fig14a tab5  # selected targets
      dune exec bench/main.exe -- --full       # full sweeps / budgets
      dune exec bench/main.exe -- --micro      # add bechamel micro-benchmarks
-     dune exec bench/main.exe -- fig16c --smoke  # tiny CI-sized run *)
+     dune exec bench/main.exe -- fig16c --smoke  # tiny CI-sized run
+     dune exec bench/main.exe -- report BENCH_sim.json --baseline=B
+                                              # gate a BENCH_*.json *)
 
 module T = Syccl_topology.Topology
 module Builders = Syccl_topology.Builders
@@ -23,23 +25,27 @@ module Counters = Syccl_util.Counters
 let full = ref false
 let smoke = ref false
 
-(* `report` target configuration (see bench_report). *)
-let report_baseline = ref "BENCH_milp_baseline.json"
-let report_current = ref "BENCH_milp.json"
-let report_threshold = ref 8.0
-let report_check = ref false
-
-(* `report --fleet=FILE`: gate on BENCH_fleet.json instead of the milp
-   comparison (see bench_report). *)
-let report_fleet = ref None
-
-(* `report --sim=FILE`: gate BENCH_sim.json against --baseline (see
-   bench_report). *)
-let report_sim = ref None
-
-(* `report --subsolve=FILE`: gate BENCH_subsolve.json against --baseline
-   (see report_subsolve_gate). *)
-let report_subsolve = ref None
+(* Every gated bench writes BENCH_<bench>.json in the working directory:
+   schema version, bench name (it picks the rules `report` gates the file
+   by), mode, the bench's summary [fields], then its rows. *)
+let write_bench bench ?(fields = []) rows =
+  let module Json = Syccl_util.Json in
+  let path = Printf.sprintf "BENCH_%s.json" bench in
+  let mode = if !smoke then "smoke" else if !full then "full" else "quick" in
+  let json =
+    Json.Obj
+      ([
+         ("schema_version", Json.Num 1.0);
+         ("bench", Json.Str bench);
+         ("mode", Json.Str mode);
+       ]
+      @ fields
+      @ [ ("rows", Json.List rows) ])
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string ~pretty:true json);
+      output_char oc '\n');
+  Printf.printf "   wrote %s\n%!" path
 
 (* Pool/cache activity footer for the synthesis-time figures. *)
 let runtime_stats () =
@@ -693,21 +699,7 @@ let bench_milp () =
           ])
       gpu_counts
   in
-  let json =
-    Json.Obj
-      [
-        ("schema_version", Json.Num 1.0);
-        ("bench", Json.Str "milp");
-        ("mode", Json.Str (if !full then "full" else "smoke"));
-        ("chunk_bytes", Json.Num size);
-        ("rows", Json.List rows);
-      ]
-  in
-  let oc = open_out "BENCH_milp.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   wrote BENCH_milp.json\n%!"
+  write_bench "milp" ~fields:[ ("chunk_bytes", Json.Num size) ] rows
 
 (* --- Simulator gate: makespans and work counts on fixed schedules ------- *)
 
@@ -717,7 +709,7 @@ let bench_milp () =
    generators.  Each run is checked bit for bit against the reference
    simulator (Sim_ref) in-process; the rows — per-phase makespans as hex
    floats, events, heap pops, and both simulators' wall time — go to
-   BENCH_sim.json for `report --check --sim=BENCH_sim.json`, which gates
+   BENCH_sim.json for `report BENCH_sim.json --baseline=...`, which gates
    on the machine-independent columns only. *)
 let bench_sim () =
   let module Json = Syccl_util.Json in
@@ -811,77 +803,14 @@ let bench_sim () =
   in
   let speedup = if sim_total > 0.0 then ref_total /. sim_total else 0.0 in
   Printf.printf "   sim %.3fs, reference %.3fs: %.2fx\n" sim_total ref_total speedup;
-  let json =
-    Json.Obj
+  write_bench "sim"
+    ~fields:
       [
-        ("schema_version", Json.Num 1.0);
-        ("bench", Json.Str "sim");
-        ("mode", Json.Str (if !full then "full" else "smoke"));
         ("sim_s", Json.Num sim_total);
         ("ref_s", Json.Num ref_total);
         ("speedup", Json.Num speedup);
-        ("rows", Json.List (List.rev rows));
       ]
-  in
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   wrote BENCH_sim.json\n%!"
-
-(* Gate BENCH_subsolve.json: every baseline row present, with the same
-   chosen-schedule digest and no more canonical forms, transfers or
-   transfer failures.  A missing or empty file fails outright. *)
-let report_subsolve_gate path =
-  let module Json = Syccl_util.Json in
-  let rows path =
-    if not (Sys.file_exists path) then []
-    else
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with
-      | Json.Obj kvs -> (
-          match List.assoc_opt "rows" kvs with Some (Json.List l) -> l | _ -> [])
-      | _ -> []
-  in
-  let field row k = match row with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
-  let num row k = match field row k with Some (Json.Num v) -> v | _ -> nan in
-  Printf.printf "\n== bench report: %s vs baseline %s ==\n" path !report_baseline;
-  let base = rows !report_baseline and cur = rows path in
-  if base = [] || cur = [] then begin
-    Printf.printf "report: missing or empty %s\n"
-      (if base = [] then !report_baseline else path);
-    exit 1
-  end;
-  let problems =
-    List.concat_map
-      (fun brow ->
-        let label =
-          match field brow "case" with Some (Json.Str s) -> s | _ -> "?"
-        in
-        match List.find_opt (fun crow -> field crow "case" = field brow "case") cur with
-        | None -> [ label ^ ": row missing from current run" ]
-        | Some crow ->
-            (if field crow "schedule_md5" = field brow "schedule_md5" then []
-             else [ label ^ ": chosen schedules differ from baseline" ])
-            @ List.filter_map
-                (fun k ->
-                  if num crow k <= num brow k then None
-                  else
-                    Some
-                      (Printf.sprintf "%s: %s %.0f, baseline %.0f" label k
-                         (num crow k) (num brow k)))
-                [ "subsolve.canon"; "subsolve.transfers"; "subsolve.transfer_fail" ])
-      base
-  in
-  List.iter (Printf.printf "report: %s\n") problems;
-  if problems <> [] then exit 1
-  else
-    Printf.printf
-      "report: subsolve gate ok (%d rows: schedules identical, work counts \
-       within baseline)\n"
-      (List.length base)
+    (List.rev rows)
 
 (* --- Sub-demand canonicalization gate ----------------------------------- *)
 
@@ -890,8 +819,8 @@ let report_subsolve_gate path =
    each from empty caches with the default config.  Per cell it records
    the canonical forms computed, the representative-to-member transfers
    and their failures (deterministic work counts of the symmetry mapping)
-   and the MD5 of the chosen schedules; `report --check
-   --subsolve=BENCH_subsolve.json` gates on those, never on wall time. *)
+   and the MD5 of the chosen schedules; `report BENCH_subsolve.json
+   --baseline=...` gates on those, never on wall time. *)
 let bench_subsolve () =
   let module Json = Syccl_util.Json in
   let module Synth = Syccl.Synthesizer in
@@ -941,20 +870,7 @@ let bench_subsolve () =
           @ [ ("schedule_md5", Json.Str md5); ("wall_s", Json.Num wall_s) ]))
       cells
   in
-  let json =
-    Json.Obj
-      [
-        ("schema_version", Json.Num 1.0);
-        ("bench", Json.Str "subsolve");
-        ("mode", Json.Str (if !smoke then "smoke" else "full"));
-        ("rows", Json.List rows);
-      ]
-  in
-  let oc = open_out "BENCH_subsolve.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   wrote BENCH_subsolve.json\n%!"
+  write_bench "subsolve" rows
 
 (* --- Fleet warming gate: registry hit rate on a cold production grid ---- *)
 
@@ -963,7 +879,7 @@ let bench_subsolve () =
    keyed apart from its anchor — and measure how much of it the registry's
    symmetry probes serve without another synthesis: other roots by
    stabilizer transport, adjacent buckets by rescaling.  Writes
-   BENCH_fleet.json for `report --check --fleet=...` (the CI gate asserts
+   BENCH_fleet.json for `report BENCH_fleet.json` (the CI gate asserts
    >=90%) and fails in-process if any near-miss hit lacks its source-entry
    provenance in the audit trail. *)
 let bench_fleet () =
@@ -1045,195 +961,176 @@ let bench_fleet () =
       (List.length unattributed);
     exit 1
   end;
-  let json =
-    Json.Obj
-      [
-        ("bench", Json.Str "fleet");
-        ( "mode",
-          Json.Str
-            (if !smoke then "smoke" else if !full then "full" else "quick")
-        );
-        ("rows", Json.List rows);
-      ]
-  in
-  let oc = open_out "BENCH_fleet.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  close_out oc;
-  Printf.printf "   wrote BENCH_fleet.json\n%!"
+  write_bench "fleet" rows
 
-(* --- Bench observatory: regression report over BENCH_*.json ------------- *)
+(* --- Bench observatory: one row gate over every BENCH_*.json ------------ *)
 
-(* Compare the current BENCH_milp.json against a committed baseline and
-   exit non-zero on regression.  Absolute timings are machine-dependent,
-   so the gate is ratio-based: a row regresses when its revised-vs-dense
-   speedup falls below baseline/threshold, its warm-start hit rate
-   collapses (more than 25 points below baseline), or the engines stopped
-   agreeing on objectives.  --check makes an unusable comparison (missing
-   file, zero matched rows) itself a failure, so the CI gate can never
-   pass vacuously. *)
-let bench_report () =
+(* The rules one bench's rows are gated by.  Rows are matched to baseline
+   rows by [key] (also their label); [check] lists the problems of a
+   matched (baseline, current) pair.  With [every_row], a baseline row the
+   current run lacks fails the gate.  A gate without [baseline] has
+   absolute rules: each current row is checked against itself.  Only
+   machine-independent columns and ratios are gated, never wall time. *)
+type gate = {
+  key : Syccl_util.Json.t -> string;
+  baseline : bool;
+  every_row : bool;
+  check : Syccl_util.Json.t -> Syccl_util.Json.t -> string list;
+}
+
+let field row k =
+  match row with Syccl_util.Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
+
+let num row k =
+  match field row k with Some (Syccl_util.Json.Num v) -> v | _ -> nan
+
+let str row k =
+  match field row k with Some (Syccl_util.Json.Str s) -> s | _ -> "?"
+
+let same k b c =
+  if field c k = field b k then [] else [ k ^ " differ from baseline" ]
+
+let no_more k b c =
+  if num c k <= num b k then []
+  else [ Printf.sprintf "%s %.0f, baseline %.0f" k (num c k) (num b k) ]
+
+let gates =
+  [
+    ( "milp",
+      (* Revised-vs-dense speedup no worse than baseline/8, warm-start hit
+         rate at most 25 points below baseline, engines agreeing on every
+         objective.  The 64-GPU row is --full only, so a baseline row the
+         current run lacks is not a failure. *)
+      {
+        key = (fun r -> Printf.sprintf "%.0f GPUs" (num r "gpus"));
+        baseline = true;
+        every_row = false;
+        check =
+          (fun b c ->
+            (if field c "objectives_match" = Some (Syccl_util.Json.Bool true)
+             then []
+             else [ "engines disagree on objectives" ])
+            @ (if num c "warm_hit_rate" >= num b "warm_hit_rate" -. 0.25 then []
+               else
+                 [
+                   Printf.sprintf "warm-start hit rate %.2f, baseline %.2f"
+                     (num c "warm_hit_rate") (num b "warm_hit_rate");
+                 ])
+            @
+            if num c "speedup" *. 8.0 >= num b "speedup" then []
+            else
+              [
+                Printf.sprintf "speedup %.1fx, baseline %.1fx" (num c "speedup")
+                  (num b "speedup");
+              ]);
+      } );
+    ( "sim",
+      (* Bit-equal makespans, equal event counts, no more heap pops. *)
+      {
+        key =
+          (fun r ->
+            Printf.sprintf "%s @%.0f blocks" (str r "case") (num r "blocks"));
+        baseline = true;
+        every_row = true;
+        check =
+          (fun b c ->
+            same "makespans" b c
+            @ (if num c "events" = num b "events" then []
+               else [ "event count differs from baseline" ])
+            @ no_more "pops" b c);
+      } );
+    ( "subsolve",
+      (* The same chosen schedules, no more symmetry-mapping work. *)
+      {
+        key = (fun r -> str r "case");
+        baseline = true;
+        every_row = true;
+        check =
+          (fun b c ->
+            same "schedule_md5" b c
+            @ List.concat_map
+                (fun k -> no_more k b c)
+                [
+                  "subsolve.canon"; "subsolve.transfers";
+                  "subsolve.transfer_fail";
+                ]);
+      } );
+    ( "fleet",
+      (* Every family serves at least 90% of its cold production grid from
+         transported or cross-bucket entries. *)
+      {
+        key = (fun r -> str r "family");
+        baseline = false;
+        every_row = true;
+        check =
+          (fun _ c ->
+            if num c "hit_rate" >= 0.9 then []
+            else
+              [
+                Printf.sprintf "hit rate %.1f%%, below the 90%% gate"
+                  (100.0 *. num c "hit_rate");
+              ]);
+      } );
+  ]
+
+(* `report FILE [--baseline=B]`: gate FILE by the rules its "bench" field
+   names and exit non-zero on any problem.  A missing, unparseable or
+   row-less file or baseline, or no row to compare, fails too, so the gate
+   never passes vacuously. *)
+let bench_report ~baseline file =
   let module Json = Syccl_util.Json in
+  let fail fmt =
+    Printf.ksprintf (fun m -> Printf.printf "report: %s\n" m; exit 1) fmt
+  in
   let read path =
-    if not (Sys.file_exists path) then None
-    else begin
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some (Json.of_string text)
-    end
+    match
+      Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | j -> (
+        match field j "rows" with
+        | Some (Json.List (_ :: _ as rows)) -> (j, rows)
+        | _ -> fail "no rows in %s" path)
+    | exception (Sys_error _ | Json.Parse_error _) ->
+        fail "missing or unreadable %s" path
   in
-  let rows = function
-    | Some (Json.Obj kvs) -> (
-        match List.assoc_opt "rows" kvs with Some (Json.List l) -> l | _ -> [])
-    | _ -> []
+  let cur, cur_rows = read file in
+  let bench = str cur "bench" in
+  let gate =
+    match List.assoc_opt bench gates with
+    | Some g -> g
+    | None -> fail "%s: no gate for bench %S" file bench
   in
-  let field row k =
-    match row with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
+  let base_rows =
+    match baseline with
+    | Some b when gate.baseline -> snd (read b)
+    | None when not gate.baseline -> cur_rows
+    | Some _ -> fail "the %s gate takes no --baseline" bench
+    | None -> fail "the %s gate needs --baseline=FILE" bench
   in
-  let num row k = match field row k with Some (Json.Num v) -> v | _ -> nan in
-  match (!report_sim, !report_fleet) with
-  | Some path, _ ->
-      (* Simulator gate: every baseline row must be present, with
-         bit-equal makespans, equal events and no more heap pops.  Wall
-         times are reported, never gated. *)
-      Printf.printf "\n== bench report: %s vs baseline %s ==\n" path
-        !report_baseline;
-      let base = rows (read !report_baseline) and cur = rows (read path) in
-      if base = [] || cur = [] then begin
-        Printf.printf "report: missing or empty %s\n"
-          (if base = [] then !report_baseline else path);
-        exit 1
-      end;
-      let key row = (field row "case", num row "blocks") in
-      let problems =
-        List.concat_map
-          (fun brow ->
-            let case =
-              match field brow "case" with Some (Json.Str s) -> s | _ -> "?"
-            in
-            let label = Printf.sprintf "%s @%.0f blocks" case (num brow "blocks") in
-            match List.find_opt (fun crow -> key crow = key brow) cur with
-            | None -> [ label ^ ": row missing from current run" ]
-            | Some crow ->
-                (if field crow "makespans" = field brow "makespans" then []
-                 else [ label ^ ": makespans differ from baseline" ])
-                @ (if num crow "events" = num brow "events" then []
-                   else [ label ^ ": event count differs from baseline" ])
-                @
-                if num crow "pops" <= num brow "pops" then []
-                else
-                  [
-                    Printf.sprintf "%s: %.0f heap pops, baseline %.0f" label
-                      (num crow "pops") (num brow "pops");
-                  ])
-          base
-      in
-      List.iter (Printf.printf "report: %s\n") problems;
-      if problems <> [] then exit 1
-      else
-        Printf.printf
-          "report: sim gate ok (%d rows: makespans bit-equal, pops within \
-           baseline)\n"
-          (List.length base)
-  | None, Some path ->
-      (* Fleet registry hit-rate gate: every family warmed by
-         `fleet` must reach >=90% transported + cross-bucket hits on its
-         cold production grid.  --check keeps the gate non-vacuous: a
-         missing file or an empty row set fails outright. *)
-      Printf.printf "\n== bench report: fleet registry hit-rate gate (%s) ==\n"
-        path;
-      (match read path with
-      | None ->
-          Printf.printf "report: missing %s\n" path;
-          if !report_check then exit 1
-      | Some j ->
-          let frows = rows (Some j) in
-          if frows = [] && !report_check then begin
-            Printf.printf "report: no fleet rows — gate is vacuous\n";
-            exit 1
-          end;
-          let below = ref 0 in
-          Printf.printf "%-16s | %8s %8s | %s\n" "family" "requests"
-            "hit-rate" "verdict";
-          List.iter
-            (fun row ->
-              let family =
-                match field row "family" with
-                | Some (Json.Str s) -> s
-                | _ -> "?"
-              in
-              let rate = num row "hit_rate" in
-              let ok = rate >= 0.9 in
-              if not ok then incr below;
-              Printf.printf "%-16s | %8.0f %7.1f%% | %s\n" family
-                (num row "requests") (100.0 *. rate)
-                (if ok then "ok" else "below 90% gate"))
-            frows;
-          if !below > 0 then begin
-            Printf.printf "report: %d family(ies) below the hit-rate gate\n"
-              !below;
-            exit 1
-          end
-          else
-            Printf.printf "report: fleet gate ok (%d families)\n"
-              (List.length frows))
-  | None, None ->
-  let base = read !report_baseline and cur = read !report_current in
-  Printf.printf "\n== bench report: %s vs baseline %s (threshold %.1fx) ==\n"
-    !report_current !report_baseline !report_threshold;
-  (match (base, cur) with
-  | None, _ | _, None ->
-      Printf.printf "report: missing %s\n"
-        (if base = None then !report_baseline else !report_current);
-      if !report_check then exit 1
-  | Some _, Some _ -> ());
-  Printf.printf "%5s | %9s %9s %7s | %s\n" "gpus" "base_spd" "cur_spd" "ratio"
-    "verdict";
-  let regressions = ref 0 and matched = ref 0 in
-  List.iter
-    (fun crow ->
-      let gpus = num crow "gpus" in
-      match
-        List.find_opt (fun brow -> num brow "gpus" = gpus) (rows base)
-      with
-      | None ->
-          Printf.printf "%5.0f | %9s %9s %7s | new row (no baseline)\n" gpus
-            "-" "-" "-"
-      | Some brow ->
-          incr matched;
-          let bs = num brow "speedup" and cs = num crow "speedup" in
-          let objectives_ok =
-            field crow "objectives_match" = Some (Json.Bool true)
-          in
-          let warm_ok =
-            num crow "warm_hit_rate" >= num brow "warm_hit_rate" -. 0.25
-          in
-          let speed_ok = cs *. !report_threshold >= bs in
-          let problems =
-            (if objectives_ok then [] else [ "objectives-mismatch" ])
-            @ (if warm_ok then [] else [ "warm-rate-collapse" ])
-            @ if speed_ok then [] else [ "speedup-regression" ]
-          in
-          if problems <> [] then incr regressions;
-          Printf.printf "%5.0f | %8.1fx %8.1fx %6.2fx | %s\n" gpus bs cs
-            (if bs > 0.0 then cs /. bs else 1.0)
-            (if problems = [] then "ok" else String.concat "," problems))
-    (rows cur);
-  List.iter
-    (fun brow ->
-      let gpus = num brow "gpus" in
-      if not (List.exists (fun crow -> num crow "gpus" = gpus) (rows cur))
-      then Printf.printf "%5.0f | row missing from current run\n" gpus)
-    (rows base);
-  if !report_check && !matched = 0 then begin
-    Printf.printf "report: no comparable rows — gate is vacuous\n";
-    exit 1
-  end;
-  if !regressions > 0 then begin
-    Printf.printf "report: %d regressed row(s)\n" !regressions;
-    exit 1
-  end
-  else Printf.printf "report: no regressions (%d rows compared)\n" !matched
+  Printf.printf "\n== bench report: %s (%s gate)%s ==\n" file bench
+    (match baseline with Some b -> " vs baseline " ^ b | None -> "");
+  let matched = ref 0 in
+  let problems =
+    List.concat_map
+      (fun b ->
+        let label = gate.key b in
+        match List.find_opt (fun c -> gate.key c = label) cur_rows with
+        | None ->
+            if gate.every_row then [ label ^ ": row missing from current run" ]
+            else begin
+              Printf.printf "report: %s: not in the current run (not gated)\n"
+                label;
+              []
+            end
+        | Some c ->
+            incr matched;
+            List.map (fun p -> label ^ ": " ^ p) (gate.check b c))
+      base_rows
+  in
+  List.iter (Printf.printf "report: %s\n") problems;
+  if problems <> [] then exit 1;
+  if !matched = 0 then fail "no comparable rows, the gate is vacuous";
+  Printf.printf "report: %s gate ok (%d rows)\n" bench !matched
 
 (* --- Trace emission (--trace=FILE) -------------------------------------- *)
 
@@ -1370,11 +1267,6 @@ let targets =
     ("subsolve", bench_subsolve);
     ("fleet", bench_fleet);
     ("lower", bench_lower);
-    ( "report",
-      fun () ->
-        match !report_subsolve with
-        | Some path -> report_subsolve_gate path
-        | None -> bench_report () );
   ]
 
 let () =
@@ -1382,7 +1274,6 @@ let () =
   let flags, names = List.partition (fun a -> String.length a > 0 && a.[0] = '-') args in
   if List.mem "--full" flags then full := true;
   if List.mem "--smoke" flags then smoke := true;
-  if List.mem "--check" flags then report_check := true;
   let keyed prefix =
     List.find_map
       (fun f ->
@@ -1392,14 +1283,6 @@ let () =
         else None)
       flags
   in
-  Option.iter (fun v -> report_baseline := v) (keyed "--baseline=");
-  Option.iter (fun v -> report_current := v) (keyed "--current=");
-  Option.iter (fun v -> report_fleet := Some v) (keyed "--fleet=");
-  Option.iter (fun v -> report_sim := Some v) (keyed "--sim=");
-  Option.iter (fun v -> report_subsolve := Some v) (keyed "--subsolve=");
-  Option.iter
-    (fun v -> report_threshold := float_of_string v)
-    (keyed "--threshold=");
   let trace_out =
     List.find_map
       (fun f ->
@@ -1410,8 +1293,17 @@ let () =
   in
   if trace_out <> None then Syccl_util.Trace.enable ();
   let chosen =
-    if names = [] then targets
-    else
+    match names with
+    | [ "report"; file ] ->
+        [
+          ( "report",
+            fun () -> bench_report ~baseline:(keyed "--baseline=") file );
+        ]
+    | "report" :: _ ->
+        prerr_endline "usage: main.exe report FILE [--baseline=FILE]";
+        exit 2
+    | [] -> targets
+    | names ->
       List.map
         (fun n ->
           match List.assoc_opt n targets with

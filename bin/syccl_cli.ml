@@ -295,7 +295,7 @@ let topo_cmd =
 
 let synth_cmd =
   let run tname cname size fast faults domains deadline stats verbose trace
-      metrics sjson rdir audit mout =
+      metrics sjson rdir audit mout output =
     let config =
       { Syccl.Synthesizer.default_config with fast_only = fast; domains;
         deadline }
@@ -343,6 +343,17 @@ let synth_cmd =
     Format.printf "predicted:  %.1f us, busbw %.1f GBps@." (o.time *. 1e6) o.busbw;
     if verbose then
       List.iter (fun s -> Format.printf "%a@." S.Schedule.pp s) o.schedules;
+    Option.iter
+      (fun path ->
+        List.iteri
+          (fun i s ->
+            let path =
+              if List.length o.schedules = 1 then path
+              else Printf.sprintf "%s.phase%d" path i
+            in
+            write_json_file ~what:"schedule" path (S.Schedule.to_json s))
+          o.schedules)
+      output;
     (match trace with
     | None -> ()
     | Some path ->
@@ -381,11 +392,22 @@ let synth_cmd =
             "Write the outcome, per-stage breakdown, counters and histograms \
              as JSON to $(docv) ($(b,-) for stdout).")
   in
+  let output =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:
+            "Save the chosen schedule as JSON to $(docv), one file per \
+             collective phase ($(docv).phase0, $(docv).phase1, ...) when \
+             there are several; $(b,explain --schedule) reports on it.")
+  in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a schedule and report its performance.")
     Term.(
       const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ faults_arg
       $ domains_arg $ deadline_arg $ stats_arg $ verbose $ trace_arg
-      $ metrics_arg $ sjson $ registry_arg $ audit_arg $ metrics_out_arg)
+      $ metrics_arg $ sjson $ registry_arg $ audit_arg $ metrics_out_arg
+      $ output)
 
 (* A registry entry rendered as a synthesis outcome, so Explain.outcome can
    report it: the schedules and chosen description are stored; the cost is
@@ -421,51 +443,74 @@ let entry_outcome topo (m : Registry.meta) schedules =
   }
 
 let explain_cmd =
-  let run tname cname size fast entry rdir =
-    match entry with
-    | Some key ->
-        (* Explain a stored registry entry instead of synthesizing. *)
-        let reg = require_registry rdir in
-        let topo = topo_of_name tname in
-        (match Registry.load reg key with
-        | Error e -> failwith (Printf.sprintf "entry %s: %s" key e)
-        | Ok (m, schedules) ->
-            if m.Registry.m_fingerprint <> T.Topology.fingerprint topo then
-              failwith
-                (Printf.sprintf
-                   "entry %s was stored for topology fingerprint %s, but %s \
-                    fingerprints as %s — pass the matching -t"
-                   key m.Registry.m_fingerprint tname
-                   (T.Topology.fingerprint topo));
-            let provenance =
-              Printf.sprintf
-                "registry entry %s in %s (%s, %.0f bytes data, stored cost \
-                 %.1f us at blocks=%d, schema v%d)"
-                key (Registry.dir reg) m.Registry.m_kind m.Registry.m_size
-                (m.Registry.m_cost *. 1e6)
-                m.Registry.m_blocks m.Registry.m_schema
-            in
-            print_string
-              (Syccl.Explain.outcome ~provenance topo
-                 (entry_outcome topo m schedules)))
-    | None ->
-        let topo = topo_of_name tname in
-        let coll = coll_of_name cname ~n:(T.Topology.num_gpus topo) ~size in
-        let config = { Syccl.Synthesizer.default_config with fast_only = fast } in
-        let o = Syccl.Synthesizer.synthesize ~config topo coll in
-        print_string
-          (Syccl.Explain.outcome ~provenance:"fresh synthesis" topo o);
-        (* Re-derive the winner's first sketch for the readable report. *)
-        let kind =
-          match coll.C.kind with
-          | C.AllToAll | C.Scatter | C.Gather -> `Scatter
-          | _ -> `Broadcast
-        in
-        (match Syccl.Search.run topo ~kind ~root:0 with
-        | s :: _ ->
-            print_newline ();
-            print_string (Syccl.Explain.sketch topo s)
-        | [] -> ())
+  let run tname cname size fast entry files timeline rdir =
+    let topo = topo_of_name tname in
+    let schedules =
+      match (entry, files) with
+      | Some key, _ ->
+          (* Explain a stored registry entry instead of synthesizing. *)
+          let reg = require_registry rdir in
+          (match Registry.load reg key with
+          | Error e -> failwith (Printf.sprintf "entry %s: %s" key e)
+          | Ok (m, schedules) ->
+              if m.Registry.m_fingerprint <> T.Topology.fingerprint topo then
+                failwith
+                  (Printf.sprintf
+                     "entry %s was stored for topology fingerprint %s, but \
+                      %s fingerprints as %s — pass the matching -t"
+                     key m.Registry.m_fingerprint tname
+                     (T.Topology.fingerprint topo));
+              let provenance =
+                Printf.sprintf
+                  "registry entry %s in %s (%s, %.0f bytes data, stored cost \
+                   %.1f us at blocks=%d, schema v%d)"
+                  key (Registry.dir reg) m.Registry.m_kind m.Registry.m_size
+                  (m.Registry.m_cost *. 1e6)
+                  m.Registry.m_blocks m.Registry.m_schema
+              in
+              print_string
+                (Syccl.Explain.outcome ~provenance topo
+                   (entry_outcome topo m schedules));
+              schedules)
+      | None, _ :: _ ->
+          (* Saved schedules (synth -o), one file per phase, in order. *)
+          List.mapi
+            (fun i path ->
+              let s =
+                try
+                  S.Schedule.of_json
+                    (Syccl_util.Json.of_string
+                       (In_channel.with_open_bin path In_channel.input_all))
+                with Syccl_util.Json.Parse_error e ->
+                  failwith (Printf.sprintf "%s: %s" path e)
+              in
+              Printf.printf "provenance: saved schedule %s\n" path;
+              print_string (Syccl.Explain.phase topo i s);
+              s)
+            files
+      | None, [] ->
+          let coll = coll_of_name cname ~n:(T.Topology.num_gpus topo) ~size in
+          let config =
+            { Syccl.Synthesizer.default_config with fast_only = fast }
+          in
+          let o = Syccl.Synthesizer.synthesize ~config topo coll in
+          print_string
+            (Syccl.Explain.outcome ~provenance:"fresh synthesis" topo o);
+          (* Re-derive the winner's first sketch for the readable report. *)
+          let kind =
+            match coll.C.kind with
+            | C.AllToAll | C.Scatter | C.Gather -> `Scatter
+            | _ -> `Broadcast
+          in
+          (match Syccl.Search.run topo ~kind ~root:0 with
+          | s :: _ ->
+              print_newline ();
+              print_string (Syccl.Explain.sketch topo s)
+          | [] -> ());
+          o.schedules
+    in
+    if timeline then
+      List.iter (fun s -> print_string (S.Analysis.timeline topo s)) schedules
   in
   let entry =
     Arg.(
@@ -477,84 +522,32 @@ let explain_cmd =
              registry ls)) instead of synthesizing: requires a registry and \
              a $(b,-t) whose fingerprint matches the entry.")
   in
+  let files =
+    Arg.(
+      value
+      & opt_all string []
+      & info [ "schedule" ] ~docv:"FILE"
+          ~doc:
+            "Explain a schedule saved by $(b,synth -o) instead of \
+             synthesizing: simulate it on $(b,-t) and print its per-phase \
+             report.  Repeat for a multi-phase schedule, in phase order.")
+  in
+  let timeline =
+    Arg.(
+      value & flag
+      & info [ "timeline" ]
+          ~doc:"Also print a text Gantt chart of each phase's transfers.")
+  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Print a human-readable report — critical path, port bottleneck, \
-          alpha/beta shares — for a fresh synthesis or a stored registry \
-          entry ($(b,--entry)).")
+          per-dimension traffic with alpha/beta shares — for a fresh \
+          synthesis, a stored registry entry ($(b,--entry)) or a saved \
+          schedule ($(b,--schedule)).")
     Term.(
-      const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ entry
-      $ registry_arg)
-
-let save_cmd =
-  let run tname cname size fast path =
-    let topo = topo_of_name tname in
-    let coll = coll_of_name cname ~n:(T.Topology.num_gpus topo) ~size in
-    let config = { Syccl.Synthesizer.default_config with fast_only = fast } in
-    let o = Syccl.Synthesizer.synthesize ~config topo coll in
-    List.iteri
-      (fun i s ->
-        let path =
-          if List.length o.schedules = 1 then path
-          else Printf.sprintf "%s.phase%d" path i
-        in
-        let oc = open_out path in
-        output_string oc
-          (Syccl_util.Json.to_string ~pretty:true (S.Schedule.to_json s));
-        close_out oc;
-        Format.printf "wrote %s@." path)
-      o.schedules
-  in
-  let path =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Destination JSON path.")
-  in
-  Cmd.v
-    (Cmd.info "save" ~doc:"Synthesize and persist the schedule as JSON.")
-    Term.(const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ path)
-
-let replay_cmd =
-  let run tname path =
-    let topo = topo_of_name tname in
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let s = S.Schedule.of_json (Syccl_util.Json.of_string text) in
-    let report = S.Sim.run topo s in
-    Format.printf "replayed %s: %d transfers, completion %.1f us@." path
-      (S.Schedule.num_xfers s)
-      (report.S.Sim.time *. 1e6);
-    Format.printf "%a@." S.Analysis.pp (S.Analysis.analyze topo s)
-  in
-  let path =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
-  in
-  Cmd.v
-    (Cmd.info "replay" ~doc:"Simulate a previously saved JSON schedule.")
-    Term.(const run $ topo_arg $ path)
-
-let analyze_cmd =
-  let run tname cname size fast timeline =
-    let topo = topo_of_name tname in
-    let coll = coll_of_name cname ~n:(T.Topology.num_gpus topo) ~size in
-    let config = { Syccl.Synthesizer.default_config with fast_only = fast } in
-    let o = Syccl.Synthesizer.synthesize ~config topo coll in
-    List.iteri
-      (fun i s ->
-        Format.printf "--- phase %d ---@.%a@." i S.Analysis.pp
-          (S.Analysis.analyze topo s);
-        if timeline then print_string (S.Analysis.timeline topo s))
-      o.schedules
-  in
-  let timeline =
-    Arg.(value & flag & info [ "timeline" ] ~doc:"Print a text Gantt chart.")
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"Synthesize, then report traffic per dimension and port utilization.")
-    Term.(const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ timeline)
+      const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ entry $ files
+      $ timeline $ registry_arg)
 
 let profile_cmd =
   let run tname noise =
@@ -1270,18 +1263,16 @@ let registry_cmd =
           keys;
         Format.printf "%s: %d entries, %d bytes, %d corrupt@."
           (Registry.dir reg) (List.length keys) !total_bytes !corrupt;
-        let layout = Registry.layout_stats reg in
-        Format.printf
-          "layout:     v%s, %d sharded in %d shard dir%s, %d legacy flat%s@."
+        let shards =
+          List.length
+            (List.sort_uniq compare (List.map Registry.shard_of_key keys))
+        in
+        Format.printf "layout:     v%s, %d shard dir%s in use@."
           (match Registry.manifest reg with
           | Ok v -> string_of_int v
           | Error e -> "? (" ^ e ^ ")")
-          layout.Registry.sharded layout.Registry.shards_in_use
-          (if layout.Registry.shards_in_use = 1 then "" else "s")
-          layout.Registry.flat
-          (if layout.Registry.flat > 0 then
-             " (run `syccl registry compact` to migrate)"
-           else "");
+          shards
+          (if shards = 1 then "" else "s");
         List.iter
           (fun (k, (n, b)) -> Format.printf "  %-28s %4d entries %10d bytes@." k n b)
           (List.sort compare !buckets);
@@ -1392,9 +1383,9 @@ let registry_cmd =
         in
         let s = Registry.compact reg ?max_entries ?max_bytes ~last_used () in
         Format.printf
-          "compacted %s: %d migrated, %d corrupt removed, %d dominated \
-           pruned, %d evicted; %d entr%s (%d bytes) kept@."
-          (Registry.dir reg) s.Registry.migrated s.Registry.corrupt_removed
+          "compacted %s: %d corrupt removed, %d dominated pruned, %d \
+           evicted; %d entr%s (%d bytes) kept@."
+          (Registry.dir reg) s.Registry.corrupt_removed
           s.Registry.dominated_removed s.Registry.evicted s.Registry.kept
           (if s.Registry.kept = 1 then "y" else "ies")
           s.Registry.kept_bytes
@@ -1457,9 +1448,9 @@ let registry_cmd =
           pass over every entry ($(b,verify)) — corrupt, invalid or \
           cost-regressed entries are reported, never deleted, and the \
           command exits non-zero — or offline compaction ($(b,compact)): \
-          migrate legacy flat entries into shards, delete corrupt \
-          entries, prune transport-dominated duplicates, and evict by \
-          audit-trail recency to $(b,--max-entries)/$(b,--max-bytes).")
+          delete corrupt entries, prune transport-dominated duplicates, \
+          and evict by audit-trail recency to \
+          $(b,--max-entries)/$(b,--max-bytes).")
     Term.(
       const run $ action $ key $ registry_arg $ topo $ max_entries
       $ max_bytes)
@@ -1531,7 +1522,7 @@ let () =
     Cmd.group (Cmd.info "syccl_cli" ~doc)
       [
         topo_cmd; synth_cmd; sweep_cmd; batch_cmd; warm_cmd; lower_cmd;
-        analyze_cmd; profile_cmd; save_cmd; replay_cmd; explain_cmd;
+        profile_cmd; explain_cmd;
         audit_cmd; metrics_cmd; registry_cmd; fuzz_cmd;
       ]
   in

@@ -23,6 +23,9 @@ type report = { seed : int; stats : prop_stats list; failures : failure list }
 
 val total_cases : report -> int
 
+val case_rng : seed:int -> prop:string -> case:int -> Syccl_util.Xrand.t
+(** The RNG property [prop] draws case [case] of a [seed] run from. *)
+
 val default_cases : unit -> int
 (** [SYCCL_FUZZ_CASES] when set to a positive integer, else 50. *)
 

@@ -139,103 +139,123 @@ exception Out_of_time
 (* [expand ~balance base] yields the replica set of one base sketch: without
    balance, the minimal set (one sketch per root); with balance, the
    group-balanced set of §4.2 step 1.  Combo generation is monotone — each
-   step appends candidates — so deadline expiry simply stops generating and
-   returns the combos built so far (solo combos first, so a tight budget
-   still yields the latency-optimal candidates). *)
+   step appends candidates — so it stops as soon as [max_combos] exist (the
+   result is a prefix of generation order either way), and deadline expiry
+   stops it early with the combos built so far (solo combos first, so a
+   tight budget still yields the latency-optimal candidates).  Only expiry
+   marks the budget degraded; reaching the cap does not. *)
 let build_combos ~max_combos ~budget topo bases expand =
-  let combos = ref [] in
+  let combos = ref [] and count = ref 0 in
+  let exception Full in
+  let add c =
+    combos := c :: !combos;
+    incr count;
+    if !count >= max_combos then raise Full
+  in
   let check_budget () =
     if Syccl_util.Budget.expired budget then begin
       Syccl_util.Budget.mark_degraded budget;
       raise Out_of_time
     end
   in
-  (* Solo combos: a single sketch per root, carrying the whole chunk — the
-     latency-optimal option for small sizes (§4.2). *)
-  List.iteri
-    (fun i base ->
-      combos :=
-        {
-          sketches = List.map (fun s -> (s, 1.0)) (expand ~balance:false base);
-          desc = Printf.sprintf "shape%d solo" i;
-        }
-        :: !combos)
-    bases;
   (try
-  (* Balanced replica combos (step 1). *)
-  let balanced_sets =
-    List.mapi
-      (fun i base ->
-        check_budget ();
-        (i, expand ~balance:true base))
-      bases
-  in
-  List.iter
-    (fun (i, replicas) ->
-      let copies = copies_per_root replicas in
-      if copies > 1 then begin
-        let t = 1.0 /. float_of_int copies in
-        combos :=
-          {
-            sketches = List.map (fun s -> (s, t)) replicas;
-            desc = Printf.sprintf "shape%d x%d" i copies;
-          }
-          :: !combos
-      end)
-    balanced_sets;
-  (* Step 2: dimension-balanced integrations of 2–3 balanced sets.  Set
-     workloads and per-root copy counts are precomputed: the tuple loops
-     must not rescan hundreds of sketches per pair. *)
-  let sets = Array.of_list balanced_sets in
-  let ns = Array.length sets in
-  let set_wl = Array.map (fun (_, reps) -> set_dim_workload topo reps) sets in
-  let set_copies = Array.map (fun (_, reps) -> copies_per_root reps) sets in
-  let try_tuple idxs =
-    check_budget ();
-    let wl = List.map (fun i -> set_wl.(i)) idxs in
-    match allocate topo wl with
-    | None -> ()
-    | Some t ->
-        let parts =
-          List.concat
-            (List.mapi
-               (fun j i ->
-                 let _, replicas = sets.(i) in
-                 let frac = t.(j) /. float_of_int set_copies.(i) in
-                 if frac < 1e-9 then []
-                 else List.map (fun s -> (s, frac)) replicas)
-               idxs)
+     if max_combos <= 0 then raise Full;
+     (* Solo combos: a single sketch per root, carrying the whole chunk —
+        the latency-optimal option for small sizes (§4.2). *)
+     List.iteri
+       (fun i base ->
+         add
+           {
+             sketches =
+               List.map (fun s -> (s, 1.0)) (expand ~balance:false base);
+             desc = Printf.sprintf "shape%d solo" i;
+           })
+       bases;
+     (try
+        (* Balanced replica sets (step 1), with their per-root copy counts.
+           Expansion stops once the sets with copies > 1 fill the cap: the
+           combos they make are all the cap leaves room for.  Expiry before
+           that drops every balanced combo, so none is added until the sets
+           are done. *)
+        let rec expand_sets acc n i = function
+          | [] -> List.rev acc
+          | _ when n >= max_combos -> List.rev acc
+          | base :: rest ->
+              check_budget ();
+              let replicas = expand ~balance:true base in
+              let copies = copies_per_root replicas in
+              expand_sets
+                ((i, replicas, copies) :: acc)
+                (if copies > 1 then n + 1 else n)
+                (i + 1) rest
         in
-        let nonzero = Array.to_list t |> List.filter (fun x -> x > 1e-9) in
-        if parts <> [] && List.length nonzero >= 2 then
-          combos :=
-            {
-              sketches = parts;
-              desc =
-                Printf.sprintf "mix[%s] t=[%s]"
-                  (String.concat ";" (List.map string_of_int idxs))
-                  (String.concat ";"
-                     (Array.to_list (Array.map (Printf.sprintf "%.3f") t)));
-            }
-            :: !combos
-  in
-  for i = 0 to ns - 1 do
-    for j = i + 1 to ns - 1 do
-      try_tuple [ i; j ]
-    done
-  done;
-  if Topology.num_dims topo >= 3 then
-    for i = 0 to ns - 1 do
-      for j = i + 1 to ns - 1 do
-        for l = j + 1 to ns - 1 do
-          try_tuple [ i; j; l ]
-        done
-      done
-    done
-  with Out_of_time -> ());
-  let all = List.rev !combos in
-  if List.length all <= max_combos then all
-  else List.filteri (fun i _ -> i < max_combos) all
+        let balanced_sets = expand_sets [] !count 0 bases in
+        List.iter
+          (fun (i, replicas, copies) ->
+            if copies > 1 then begin
+              let t = 1.0 /. float_of_int copies in
+              add
+                {
+                  sketches = List.map (fun s -> (s, t)) replicas;
+                  desc = Printf.sprintf "shape%d x%d" i copies;
+                }
+            end)
+          balanced_sets;
+        (* Step 2: dimension-balanced integrations of 2–3 balanced sets.
+           Set workloads are precomputed: the tuple loops must not rescan
+           hundreds of sketches per pair. *)
+        let sets = Array.of_list balanced_sets in
+        let ns = Array.length sets in
+        let set_wl =
+          Array.map (fun (_, reps, _) -> set_dim_workload topo reps) sets
+        in
+        let try_tuple idxs =
+          check_budget ();
+          let wl = List.map (fun i -> set_wl.(i)) idxs in
+          match allocate topo wl with
+          | None -> ()
+          | Some t ->
+              let parts =
+                List.concat
+                  (List.mapi
+                     (fun j i ->
+                       let _, replicas, copies = sets.(i) in
+                       let frac = t.(j) /. float_of_int copies in
+                       if frac < 1e-9 then []
+                       else List.map (fun s -> (s, frac)) replicas)
+                     idxs)
+              in
+              let nonzero =
+                Array.to_list t |> List.filter (fun x -> x > 1e-9)
+              in
+              if parts <> [] && List.length nonzero >= 2 then
+                add
+                  {
+                    sketches = parts;
+                    desc =
+                      Printf.sprintf "mix[%s] t=[%s]"
+                        (String.concat ";" (List.map string_of_int idxs))
+                        (String.concat ";"
+                           (Array.to_list
+                              (Array.map (Printf.sprintf "%.3f") t)));
+                  }
+        in
+        for i = 0 to ns - 1 do
+          for j = i + 1 to ns - 1 do
+            try_tuple [ i; j ]
+          done
+        done;
+        if Topology.num_dims topo >= 3 then
+          for i = 0 to ns - 1 do
+            for j = i + 1 to ns - 1 do
+              for l = j + 1 to ns - 1 do
+                try_tuple [ i; j; l ]
+              done
+            done
+          done
+      with Out_of_time -> ())
+   with Full -> ());
+  List.rev !combos
 
 let combos_one_to_all ?(max_combos = 48)
     ?(budget = Syccl_util.Budget.unlimited) topo sketches =

@@ -36,10 +36,12 @@ val combos_one_to_all :
   Sketch.t list ->
   combo list
 (** Single-sketch combos (small sizes), balanced replica combos, and
-    dimension-balanced integrations of pairs/triples of replica combos.
+    dimension-balanced integrations of pairs/triples of replica combos,
+    in that order.  Generation stops once [max_combos] (default 48) exist,
+    so the result is always the first [max_combos] of the uncapped list.
     When [budget] expires mid-generation the combos built so far are
-    returned (solo combos are generated first, so a tight deadline still
-    yields candidates). *)
+    returned and the budget is marked degraded (solo combos are generated
+    first, so a tight deadline still yields candidates). *)
 
 val combos_all_to_all :
   ?max_combos:int ->

@@ -76,9 +76,10 @@ let combo topo (c : Combine.combo) =
 
 (* Critical-path analysis of one schedule phase: which port the makespan
    rests on, how saturated the top ports are, and per dimension whether the
-   wire time is latency (α) or bandwidth (β).  Rendered into [buf]. *)
-let phase_analysis buf topo i s =
+   wire time is latency (α) or bandwidth (β). *)
+let phase topo i s =
   let module Analysis = Syccl_sim.Analysis in
+  let buf = Buffer.create 256 in
   let a = Analysis.analyze topo s in
   Buffer.add_string buf
     (Printf.sprintf "phase %d: %d transfers, makespan %.1f us, %.2f hops/delivery\n"
@@ -105,7 +106,8 @@ let phase_analysis buf topo i s =
              (p.Analysis.busy *. 1e6)
              (p.Analysis.utilization *. 100.0)
              (if j = 0 then "  <- bottleneck" else "")))
-    a.Analysis.ports
+    a.Analysis.ports;
+  Buffer.contents buf
 
 let outcome ?provenance topo (o : Synthesizer.outcome) =
   let b = o.Synthesizer.breakdown in
@@ -137,5 +139,7 @@ let outcome ?provenance topo (o : Synthesizer.outcome) =
              (fun s ->
                Printf.sprintf "%d transfers" (Syccl_sim.Schedule.num_xfers s))
              o.Synthesizer.schedules)));
-  List.iteri (fun i s -> phase_analysis buf topo i s) o.Synthesizer.schedules;
+  List.iteri
+    (fun i s -> Buffer.add_string buf (phase topo i s))
+    o.Synthesizer.schedules;
   Buffer.contents buf

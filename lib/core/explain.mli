@@ -17,13 +17,18 @@ val combo : Syccl_topology.Topology.t -> Combine.combo -> string
     shares (flagging imbalance), and the full rendering of one
     representative sketch. *)
 
+val phase : Syccl_topology.Topology.t -> int -> Syccl_sim.Schedule.t -> string
+(** Critical-path report of one schedule phase, headed [phase I:]: its
+    transfer count, makespan and hops per delivery, each dimension's
+    traffic with its α (latency) vs β (bandwidth) share of wire time, and
+    the four busiest ports with the bottleneck flagged. *)
+
 val outcome :
   ?provenance:string -> Syccl_topology.Topology.t -> Synthesizer.outcome -> string
 (** Summary of a synthesis run: the winning combination, predicted time and
     bus bandwidth, the step timings, the degradation-ladder rung (and the
-    reason when the run degraded), and — per schedule phase — a critical-path
-    analysis: top port utilization with the bottleneck flagged, and each
-    dimension's α (latency) vs β (bandwidth) share of wire time.
+    reason when the run degraded), and one {!phase} report per schedule
+    phase.
 
     [provenance] is a free-form origin line ("registry entry KEY", "fresh
     synthesis under a 2 s budget") printed after the ladder rung, for

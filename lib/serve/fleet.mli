@@ -8,9 +8,9 @@
     request in an adjacent bucket by rescaling it
     ({!Registry.Scaled_cross}) — so a cold family reaches hit-rate
     saturation at anchor cost, not (roots × sizes) grid cost.  The bench
-    gate ([syccl-bench fleet] / [report --check]) asserts ≥90% of a cold
-    family's production grid is served from transported + cross-bucket
-    entries after warming the smoke grid. *)
+    gate ([syccl-bench fleet] / [report BENCH_fleet.json]) asserts ≥90%
+    of a cold family's production grid is served from transported +
+    cross-bucket entries after warming the smoke grid. *)
 
 val default_families : string list
 (** Every named {!Syccl_topology.Builders} family the request parser

@@ -50,13 +50,12 @@ let atomic_write ~dir:d path body =
 
 (* --- sharded layout ----------------------------------------------------- *)
 
-(* Layout v2: entries live under 256 shard directories named by the first
+(* Layout v3: entries live under 256 shard directories named by the first
    two hex characters of the entry key (git-object style), so concurrent
    writers from many processes spread their renames across directories
-   instead of contending on one.  Layout v1 was a flat directory of
-   <key>.json files; reads fall back to the flat path transparently, and
-   [compact]/[migrate] move stragglers into their shards. *)
-let layout_version = 2
+   instead of contending on one.  Any other layout version is refused at
+   open; files at the top level are never entries. *)
+let layout_version = 3
 let shard_prefix_len = 2
 let manifest_name = "MANIFEST.json"
 let manifest_path t = Filename.concat t.root manifest_name
@@ -66,18 +65,7 @@ let shard_of_key k =
   else String.make shard_prefix_len '0'
 
 let shard_dir t k = Filename.concat t.root (shard_of_key k)
-let shard_path t k = Filename.concat (shard_dir t k) (k ^ ".json")
-let flat_path t k = Filename.concat t.root (k ^ ".json")
-
-(* Where the entry for [k] currently lives: its shard, the legacy flat
-   location, or nowhere.  The shard wins when both exist — only a layout-2
-   writer can have produced it, so it is the newer of the two. *)
-let entry_path t k =
-  let sharded = shard_path t k in
-  if Sys.file_exists sharded then Some sharded
-  else
-    let flat = flat_path t k in
-    if Sys.file_exists flat then Some flat else None
+let entry_path t k = Filename.concat (shard_dir t k) (k ^ ".json")
 
 let manifest_body () =
   Json.to_string ~pretty:true
@@ -104,16 +92,16 @@ let open_dir root =
   mkdirs root;
   let t = { root } in
   (match manifest t with
-  | Ok v when v > layout_version ->
+  | Ok v when v <> layout_version ->
       failwith
         (Printf.sprintf
-           "registry %s: layout version %d is newer than this build reads \
-            (%d)"
+           "registry %s: layout version %d, this build reads only layout %d"
            root v layout_version)
   | Ok _ -> ()
   | Error _ ->
       (* First open, or a damaged manifest: (re)write ours.  The write is
-         atomic and the content deterministic, so racing opens agree. *)
+         atomic and the content deterministic, so racing opens agree;
+         top-level files are left alone, never read as entries. *)
       atomic_write ~dir:root (manifest_path t) (manifest_body ()));
   t
 
@@ -203,7 +191,7 @@ let store t topo (coll : Collective.t) ?(blocks = 8) ~cost ~chosen schedules =
   in
   let sdir = shard_dir t k in
   mkdirs sdir;
-  atomic_write ~dir:sdir (shard_path t k) body;
+  atomic_write ~dir:sdir (entry_path t k) body;
   Counters.bump "registry.stores"
 
 (* Simulated cost of a multi-phase schedule set, matching how the
@@ -223,16 +211,9 @@ let miss_reason_name = function
 type probe_result = Hit of hit | Miss of miss_reason
 
 (* Per-reason "registry.miss.<reason>" counters distinguish cold misses from
-   store corruption in scraped metrics; the aggregate and the legacy reason
-   names (registry.corrupt/invalid/slower) are kept for dashboards and tests
-   that predate the split. *)
+   store corruption in scraped metrics; "registry.misses" is their sum. *)
 let miss reason =
   Counters.bump ("registry.miss." ^ miss_reason_name reason);
-  (match reason with
-  | Absent | Transport_rejected -> ()
-  | Corrupt -> Counters.bump "registry.corrupt"
-  | Invalid -> Counters.bump "registry.invalid"
-  | Slower -> Counters.bump "registry.slower");
   Counters.bump "registry.misses";
   Miss reason
 
@@ -276,25 +257,11 @@ let parse_entry ~key:k path =
         (Json.Parse_error
            (Printf.sprintf "schema version %d, this build reads %d" version
               Schedule.schema_version));
-    (* Simulator fidelity the stored cost was computed at.  Entries
-       predating the field were all written under the default blocks=8. *)
-    let stored_blocks =
-      match j with
-      | Json.Obj fields -> (
-          match List.assoc_opt "blocks" fields with
-          | Some v -> Json.to_int v
-          | None -> 8)
-      | _ -> 8
-    in
-    (* Fault provenance; entries predating the field were all healthy. *)
     let m_faults =
-      match j with
-      | Json.Obj fields -> (
-          match List.assoc_opt "faults" fields with
-          | Some (Json.Str s) -> s
-          | Some Json.Null | None -> ""
-          | Some _ -> raise (Json.Parse_error "\"faults\" must be a string"))
-      | _ -> ""
+      match Json.member "faults" j with
+      | Json.Str s -> s
+      | Json.Null -> ""
+      | _ -> raise (Json.Parse_error "\"faults\" must be a string or null")
     in
     let meta =
       {
@@ -306,7 +273,7 @@ let parse_entry ~key:k path =
         m_peer = Json.to_int (Json.member "peer" j);
         m_size = Json.to_float (Json.member "size" j);
         m_cost = Json.to_float (Json.member "cost" j);
-        m_blocks = stored_blocks;
+        m_blocks = Json.to_int (Json.member "blocks" j);
         m_chosen = Json.to_str (Json.member "chosen" j);
         m_schema = Json.to_int (Json.member "schema_version" j);
         m_bytes = String.length body;
@@ -327,9 +294,9 @@ let parse_entry ~key:k path =
    [probe] does the bumping, so the near-miss pass can reuse this without
    double-counting. *)
 let probe_exact t ~blocks topo (coll : Collective.t) k =
-  match entry_path t k with
-  | None -> Miss Absent
-  | Some path -> (
+  let path = entry_path t k in
+  if not (Sys.file_exists path) then Miss Absent
+  else (
       match parse_entry ~key:k path with
       | Error _ -> Miss Corrupt
       | Ok (meta, schedules) ->
@@ -451,9 +418,9 @@ let probe_near t ~blocks topo (coll : Collective.t) =
      distinction between miss.absent and miss.transport_rejected is "was
      there anything to transport". *)
   let load_source k =
-    match entry_path t k with
-    | None -> None
-    | Some path -> (
+    let path = entry_path t k in
+    if not (Sys.file_exists path) then None
+    else (
         match parse_entry ~key:k path with
         | Error _ -> None
         | Ok (meta, ss) ->
@@ -584,56 +551,27 @@ let is_shard_name f =
   String.length f = shard_prefix_len && String.for_all is_hex_char f
 
 let keys t =
-  let top = Array.to_list (try Sys.readdir t.root with Sys_error _ -> [||]) in
-  let flat =
-    List.filter_map
-      (fun f ->
-        if f <> manifest_name && Filename.check_suffix f ".json" then
-          Some (Filename.chop_suffix f ".json")
-        else None)
-      top
-  in
-  let sharded =
-    List.concat_map
-      (fun d ->
-        let full = Filename.concat t.root d in
-        if is_shard_name d && Sys.is_directory full then
-          (* An existing-but-unreadable shard directory is an operator
-             problem the caller must see, not an empty shard: Sys_error
-             propagates. *)
-          Array.to_list (Sys.readdir full)
-          |> List.filter_map (fun f ->
-                 if Filename.check_suffix f ".json" then
-                   Some (Filename.chop_suffix f ".json")
-                 else None)
-        else [])
-      top
-  in
-  List.sort_uniq compare (flat @ sharded)
+  Array.to_list (try Sys.readdir t.root with Sys_error _ -> [||])
+  |> List.concat_map (fun d ->
+         let full = Filename.concat t.root d in
+         if is_shard_name d && Sys.is_directory full then
+           (* An existing-but-unreadable shard directory is an operator
+              problem the caller must see, not an empty shard: Sys_error
+              propagates. *)
+           Array.to_list (Sys.readdir full)
+           |> List.filter_map (fun f ->
+                  if Filename.check_suffix f ".json" then
+                    Some (Filename.chop_suffix f ".json")
+                  else None)
+         else [])
+  |> List.sort_uniq compare
 
 let length t = List.length (keys t)
 
-type layout_stats = { sharded : int; flat : int; shards_in_use : int }
-
-let layout_stats t =
-  let ks = keys t in
-  let shards = Hashtbl.create 16 in
-  let sharded, flat =
-    List.fold_left
-      (fun (s, f) k ->
-        if Sys.file_exists (shard_path t k) then begin
-          Hashtbl.replace shards (shard_of_key k) ();
-          (s + 1, f)
-        end
-        else (s, f + 1))
-      (0, 0) ks
-  in
-  { sharded; flat; shards_in_use = Hashtbl.length shards }
-
 let load t k =
-  match entry_path t k with
-  | None -> Error "no such entry"
-  | Some path -> parse_entry ~key:k path
+  let path = entry_path t k in
+  if Sys.file_exists path then parse_entry ~key:k path
+  else Error "no such entry"
 
 type verdict =
   | Entry_ok of { simulated : float }
@@ -667,43 +605,15 @@ let verify_entry t ?topo k =
               else Entry_ok { simulated })
       | _ -> Entry_unverified meta)
 
-(* --- maintenance: migration, compaction, eviction ----------------------- *)
+(* --- maintenance: compaction, eviction ---------------------------------- *)
 
 let remove_entry t k =
-  let removed = ref false in
-  List.iter
-    (fun p ->
-      if Sys.file_exists p then begin
-        (try Sys.remove p with Sys_error _ -> ());
-        removed := true
-      end)
-    [ shard_path t k; flat_path t k ];
-  !removed
-
-let migrate t =
-  let moved = ref 0 in
-  Array.iter
-    (fun f ->
-      if f <> manifest_name && Filename.check_suffix f ".json" then begin
-        let k = Filename.chop_suffix f ".json" in
-        let src = flat_path t k and dst = shard_path t k in
-        mkdirs (shard_dir t k);
-        if Sys.file_exists dst then begin
-          (* A sharded entry only a layout-2 writer can have produced
-             shadows the legacy one; drop the straggler. *)
-          (try Sys.remove src with Sys_error _ -> ());
-          incr moved
-        end
-        else
-          match Sys.rename src dst with
-          | () -> incr moved
-          | exception Sys_error _ -> ()
-      end)
-    (try Sys.readdir t.root with Sys_error _ -> [||]);
-  !moved
+  let p = entry_path t k in
+  let existed = Sys.file_exists p in
+  if existed then (try Sys.remove p with Sys_error _ -> ());
+  existed
 
 type compact_stats = {
-  migrated : int;
   corrupt_removed : int;
   dominated_removed : int;
   evicted : int;
@@ -729,7 +639,6 @@ let prunable m =
   | exception _ -> false
 
 let compact t ?max_entries ?max_bytes ?(last_used = fun _ -> None) () =
-  let migrated = migrate t in
   let corrupt_removed = ref 0 in
   let metas =
     List.filter_map
@@ -739,7 +648,7 @@ let compact t ?max_entries ?max_bytes ?(last_used = fun _ -> None) () =
         | Error _ ->
             (* Compaction is the one explicitly-invoked pass allowed to
                delete: a corrupt entry can never serve again, only recount
-               as registry.corrupt forever. *)
+               as registry.miss.corrupt forever. *)
             if remove_entry t k then incr corrupt_removed;
             None)
       (keys t)
@@ -788,9 +697,7 @@ let compact t ?max_entries ?max_bytes ?(last_used = fun _ -> None) () =
     match last_used m.m_key with
     | Some ts -> ts
     | None -> (
-        match entry_path t m.m_key with
-        | Some p -> ( try (Unix.stat p).Unix.st_mtime with _ -> 0.0)
-        | None -> 0.0)
+        try (Unix.stat (entry_path t m.m_key)).Unix.st_mtime with _ -> 0.0)
   in
   let by_age =
     List.sort compare (List.map (fun m -> (stamp m, m.m_key, m.m_bytes)) metas)
@@ -809,11 +716,7 @@ let compact t ?max_entries ?max_bytes ?(last_used = fun _ -> None) () =
   let evicted, kept, kept_bytes =
     evict 0 (List.length by_age) total_bytes by_age
   in
-  (* Re-stamp the manifest: compaction is also the upgrade path from the
-     flat layout, and the manifest should say so afterwards. *)
-  atomic_write ~dir:t.root (manifest_path t) (manifest_body ());
   {
-    migrated;
     corrupt_removed = !corrupt_removed;
     dominated_removed;
     evicted;

@@ -166,7 +166,7 @@ let test_registry_corrupt_entry () =
   output_string oc body;
   close_out oc;
   let result, corrupt =
-    delta "registry.corrupt" (fun () ->
+    delta "registry.miss.corrupt" (fun () ->
         snd (delta "registry.misses" (fun () -> Registry.lookup reg topo coll)))
   in
   ignore result;
@@ -181,7 +181,7 @@ let test_registry_corrupt_entry () =
   output_string oc "not json at all {{{";
   close_out oc;
   let result, corrupt =
-    delta "registry.corrupt" (fun () -> Registry.lookup reg topo coll)
+    delta "registry.miss.corrupt" (fun () -> Registry.lookup reg topo coll)
   in
   checkb "garbage entry is a miss" true (result = None);
   check (Alcotest.float 0.0) "garbage counted corrupt" 1.0 corrupt
@@ -211,10 +211,41 @@ let test_registry_schema_mismatch () =
   output_string oc (Json.to_string bumped);
   close_out oc;
   let result, corrupt =
-    delta "registry.corrupt" (fun () -> Registry.lookup reg topo coll)
+    delta "registry.miss.corrupt" (fun () -> Registry.lookup reg topo coll)
   in
   checkb "future-schema entry is a miss" true (result = None);
   check (Alcotest.float 0.0) "schema mismatch counted corrupt" 1.0 corrupt
+
+(* [blocks] and [faults] are required: an entry without either is
+   incomplete, hence a corrupt miss, never read with a default. *)
+let test_registry_missing_field () =
+  List.iter
+    (fun field ->
+      let reg = fresh_registry () in
+      let schedules = Fallback.schedule topo coll in
+      Registry.store reg topo coll ~cost:(simulate schedules) ~chosen:"fallback"
+        schedules;
+      let path = entry_path reg (Registry.key topo coll) in
+      let body = In_channel.with_open_bin path In_channel.input_all in
+      let fields =
+        match Json.of_string body with
+        | Json.Obj fields -> fields
+        | _ -> Alcotest.fail "entry must be an object"
+      in
+      checkb (field ^ " is stored") true (List.mem_assoc field fields);
+      let oc = open_out path in
+      output_string oc
+        (Json.to_string (Json.Obj (List.remove_assoc field fields)));
+      close_out oc;
+      let result, corrupt =
+        delta "registry.miss.corrupt" (fun () -> Registry.probe reg topo coll)
+      in
+      checkb ("entry without " ^ field ^ " is a corrupt miss") true
+        (result = Registry.Miss Registry.Corrupt);
+      check (Alcotest.float 0.0) (field ^ ": counted corrupt") 1.0 corrupt;
+      checkb (field ^ ": load reports it") true
+        (Result.is_error (Registry.load reg (Registry.key topo coll))))
+    [ "blocks"; "faults" ]
 
 let test_registry_concurrent_writers () =
   let reg = fresh_registry () in
@@ -459,7 +490,8 @@ let test_verify_entry_nonmutating () =
   close_out oc;
   let (verdict, corrupt), misses =
     delta "registry.misses" (fun () ->
-        delta "registry.corrupt" (fun () -> Registry.verify_entry reg ~topo key))
+        delta "registry.miss.corrupt" (fun () ->
+            Registry.verify_entry reg ~topo key))
   in
   checkb "corruption reported" true
     (match verdict with Registry.Entry_corrupt _ -> true | _ -> false);
@@ -486,32 +518,40 @@ let test_shard_layout_manifest () =
     (Sys.file_exists (entry_path reg k));
   checkb "shard name is the key's first two hex chars" true
     (Registry.shard_of_key k = String.sub k 0 2);
-  let s = Registry.layout_stats reg in
-  check Alcotest.int "one sharded entry" 1 s.Registry.sharded;
-  check Alcotest.int "no flat stragglers" 0 s.Registry.flat;
-  check Alcotest.int "one shard in use" 1 s.Registry.shards_in_use
+  check Alcotest.int "one entry" 1 (Registry.length reg);
+  check Alcotest.(list string) "keys lists it" [ k ] (Registry.keys reg)
 
-let test_legacy_flat_entry () =
+(* The manifest names the layout: a directory written under any other
+   layout is refused with one line naming it and both versions, and a
+   manifest-less or damaged one is rewritten without touching top-level
+   files. *)
+let test_layout_version_refused () =
   let reg = fresh_registry () in
-  let schedules = Fallback.schedule topo coll in
-  Registry.store reg topo coll ~cost:(simulate schedules) ~chosen:"fallback"
-    schedules;
-  let k = Registry.key topo coll in
-  (* Demote the entry to the v1 flat layout by hand: reads must keep
-     serving it, and migrate must move it home. *)
-  let flat = Filename.concat (Registry.dir reg) (k ^ ".json") in
-  Sys.rename (entry_path reg k) flat;
-  checkb "flat legacy entry still hits" true
-    (Registry.lookup reg topo coll <> None);
-  check Alcotest.int "length sees the flat entry" 1 (Registry.length reg);
-  let s = Registry.layout_stats reg in
-  check Alcotest.int "layout_stats counts it flat" 1 s.Registry.flat;
-  check Alcotest.int "migrate resolves one straggler" 1 (Registry.migrate reg);
-  checkb "migrated into its shard" true (Sys.file_exists (entry_path reg k));
-  checkb "flat copy gone" false (Sys.file_exists flat);
-  checkb "still hits after migration" true
-    (Registry.lookup reg topo coll <> None);
-  check Alcotest.int "migrate is idempotent" 0 (Registry.migrate reg)
+  let root = Registry.dir reg in
+  let manifest = Filename.concat root "MANIFEST.json" in
+  let write path body =
+    let oc = open_out path in
+    output_string oc body;
+    close_out oc
+  in
+  write manifest "{\"layout_version\": 2}\n";
+  (match Registry.open_dir root with
+  | _ -> Alcotest.fail "a layout-2 registry must be refused"
+  | exception Failure msg ->
+      check Alcotest.string "one line naming the directory and both versions"
+        (Printf.sprintf
+           "registry %s: layout version 2, this build reads only layout 3" root)
+        msg);
+  check Alcotest.int "this build reads layout 3" 3 Registry.layout_version;
+  let stray = Filename.concat root "0123.json" in
+  write stray "{}";
+  write manifest "not json";
+  let reg = Registry.open_dir root in
+  (match Registry.manifest reg with
+  | Ok v -> check Alcotest.int "damaged manifest rewritten" 3 v
+  | Error e -> Alcotest.fail ("manifest unreadable: " ^ e));
+  checkb "top-level file left in place" true (Sys.file_exists stray);
+  check Alcotest.int "top-level file is not an entry" 0 (Registry.length reg)
 
 let test_shard_racing_writers () =
   let reg = fresh_registry () in
@@ -538,9 +578,9 @@ let test_shard_racing_writers () =
   | Ok v -> check Alcotest.int "manifest consistent after the race"
               Registry.layout_version v
   | Error e -> Alcotest.fail ("manifest damaged by the race: " ^ e));
-  let s = Registry.layout_stats reg in
-  check Alcotest.int "all sharded" 16 s.Registry.sharded;
-  check Alcotest.int "none flat" 0 s.Registry.flat;
+  let shards = List.map Registry.shard_of_key (Registry.keys reg) in
+  check Alcotest.int "sixteen distinct shards in use" 16
+    (List.length (List.sort_uniq compare shards));
   List.iter
     (fun c ->
       checkb "entry sits in its own shard" true
@@ -796,6 +836,8 @@ let suite =
       test_registry_corrupt_entry;
     Alcotest.test_case "schema mismatch is a counted miss" `Quick
       test_registry_schema_mismatch;
+    Alcotest.test_case "entry without blocks or faults is a counted miss"
+      `Quick test_registry_missing_field;
     Alcotest.test_case "concurrent writers leave a valid entry" `Quick
       test_registry_concurrent_writers;
     Alcotest.test_case "registry hits/misses surface in breakdown" `Quick
@@ -814,15 +856,15 @@ let suite =
       test_verify_entry_nonmutating;
     Alcotest.test_case "sharded layout and manifest" `Quick
       test_shard_layout_manifest;
-    Alcotest.test_case "legacy flat entries serve and migrate" `Quick
-      test_legacy_flat_entry;
+    Alcotest.test_case "other layout versions are refused" `Quick
+      test_layout_version_refused;
     Alcotest.test_case "racing writers across shards stay consistent" `Quick
       test_shard_racing_writers;
     Alcotest.test_case "near-miss probe transports symmetric roots" `Quick
       test_transported_hit;
     Alcotest.test_case "near-miss probe rescales adjacent buckets" `Quick
       test_cross_bucket_hit;
-    Alcotest.test_case "compact migrates, prunes and evicts" `Quick
+    Alcotest.test_case "compact prunes and evicts" `Quick
       test_registry_compact;
     Alcotest.test_case "lower hook verdicts reach outcome and audit" `Quick
       test_lower_hook;

@@ -123,6 +123,65 @@ let test_combos_one_to_all () =
         Alcotest.failf "%s sums to %g" c.Combine.desc total)
     combos
 
+(* Generation stops at the cap, and what it returns is the cap-length
+   prefix of the uncapped generation order. *)
+let test_cap_is_prefix () =
+  let module X = Syccl_util.Xrand in
+  let module Gen = Syccl_check.Gen in
+  for seed = 1 to 6 do
+    let rng = X.create (9100 + seed) in
+    let topo = Gen.topology rng in
+    let n = T.num_gpus topo in
+    let all_to_all = seed mod 3 = 0 in
+    let kind = if all_to_all then `Scatter else `Broadcast in
+    let root = X.int rng n in
+    let sketches =
+      Search.run ~config:(Search.default topo kind) topo ~kind ~root
+      |> List.filteri (fun i _ -> i < 6)
+    in
+    let combos ?max_combos () =
+      if all_to_all then Combine.combos_all_to_all ?max_combos topo sketches
+      else Combine.combos_one_to_all ?max_combos topo sketches
+    in
+    let uncapped = combos ~max_combos:max_int () in
+    let total = List.length uncapped in
+    List.iter
+      (fun k ->
+        let capped = combos ~max_combos:k () in
+        let want = List.filteri (fun i _ -> i < k) uncapped in
+        if capped <> want then
+          Alcotest.failf "%s (seed %d): max_combos %d is not the first %d of %d"
+            topo.T.name seed k k total)
+      [ 0; 1; 2; 5; 9; 13; total ]
+  done
+
+(* A 6-GPU multi-rail Reduce with 262 sketches (canon-differential, seed 1,
+   case 13): generating every combo before keeping four took seconds. *)
+let test_cap_many_sketches () =
+  let module Coll = Syccl_collective.Collective in
+  let module Gen = Syccl_check.Gen in
+  let rng =
+    Syccl_check.Fuzz.case_rng ~seed:1 ~prop:"canon-differential" ~case:13
+  in
+  (* The property's draws: topology, puncture coin (healthy here), phase. *)
+  let topo = Gen.topology rng in
+  ignore (Syccl_util.Xrand.int rng 3);
+  let coll =
+    Gen.collective rng ~n:(T.num_gpus topo)
+      ~kinds:
+        Coll.
+          [| Broadcast; Scatter; Gather; Reduce; AllGather; AllToAll;
+             ReduceScatter |]
+  in
+  let p0 = List.hd (Coll.decompose coll) in
+  let kind = p0.Coll.p_kind in
+  let sketches =
+    Search.run ~config:(Search.default topo kind) topo ~kind ~root:p0.Coll.p_root
+  in
+  check Alcotest.int "sketches" 262 (List.length sketches);
+  check Alcotest.int "combos" 4
+    (List.length (Combine.combos_one_to_all ~max_combos:4 topo sketches))
+
 let all_to_all_uniform_prop =
   (* Rotating the root through every GPU spreads per-(dim, group) workload
      exactly evenly on a multirail cluster. *)
@@ -200,4 +259,6 @@ let suite =
     ("all-to-all replicas", `Quick, test_all_to_all_replicas);
     ("combo fractions sum to one", `Quick, test_combos_fractions_sum_to_one);
     ("one-to-all combos", `Quick, test_combos_one_to_all);
+    ("max_combos keeps a prefix", `Quick, test_cap_is_prefix);
+    ("max_combos stops generation", `Quick, test_cap_many_sketches);
   ]
